@@ -1,11 +1,11 @@
 //! Thread-scaling benchmark for the deterministic parallel execution
-//! paths: channel-parallel DRAM servicing and the end-to-end simulator
-//! (which adds DIMM-parallel instance generation on top).
+//! path inside one simulation: the end-to-end simulator with
+//! DIMM-parallel instance generation.
 //!
 //! Runs a pinned workload at host thread budgets 1/2/4/8 via
 //! [`dramsim::parallel::set_threads`] and writes `BENCH_parallel.json`
 //! with wall times, speedups relative to the single-thread run, and the
-//! host's core count. Every stage also reports a result fingerprint;
+//! host's core count. Every row also reports a result fingerprint;
 //! the binary exits non-zero if any budget changes a fingerprint, so
 //! the scaling numbers double as a determinism check.
 //!
@@ -19,7 +19,6 @@
 
 use std::time::Instant;
 
-use dramsim::{DramConfig, MemorySystem, Request};
 use hgnn::ModelKind;
 use metanmp::Simulator;
 use serde::Serialize;
@@ -42,36 +41,14 @@ struct Doc {
     workload: &'static str,
     seed: u64,
     host_cpus: usize,
-    /// True when every stage produced the same fingerprint at every
-    /// thread budget.
+    /// True when the run produced the same fingerprint at every thread
+    /// budget.
     deterministic: bool,
     rows: Vec<StageRow>,
 }
 
-/// Mixed read/write burst stream over every channel, heavy enough to
-/// clear the channel pool's spawn threshold.
-fn dram_stage() -> u64 {
-    let mut sys = MemorySystem::new(DramConfig::default());
-    let mut x = 0x2545F491u64;
-    for i in 0..16_384u64 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let addr = (x % (1 << 30)) & !63;
-        if i % 3 == 0 {
-            sys.enqueue(Request::write(addr, 128));
-        } else {
-            sys.enqueue(Request::read(addr, 128));
-        }
-        if i % 7 == 0 {
-            sys.enqueue(Request::local_read(i * 256, 256));
-        }
-    }
-    sys.service_all().stats.elapsed_cycles
-}
-
 /// End-to-end pipeline: software reference, DIMM-parallel instance
-/// generation, channel-parallel cycle simulation.
+/// generation, cycle simulation.
 fn sim_stage() -> u64 {
     let outcome = Simulator::builder()
         .dataset(hetgraph::datasets::DatasetId::Imdb)
@@ -85,50 +62,39 @@ fn sim_stage() -> u64 {
     outcome.nmp.cycles
 }
 
-fn time(f: impl FnOnce() -> u64) -> (f64, u64) {
-    let start = Instant::now();
-    let fingerprint = f();
-    (start.elapsed().as_secs_f64() * 1e3, fingerprint)
-}
-
-/// A named workload stage returning its result fingerprint.
-type Stage = (&'static str, fn() -> u64);
-
 fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let stages: [Stage; 2] = [("dram_channels", dram_stage), ("end_to_end_sim", sim_stage)];
-
+    let name = "end_to_end_sim";
     let mut rows = Vec::new();
     let mut deterministic = true;
-    for (name, stage) in stages {
-        let mut base_ms = 0.0;
-        let mut base_fp = 0;
-        for threads in THREAD_BUDGETS {
-            dramsim::parallel::set_threads(threads);
-            let (wall_ms, fingerprint) = time(stage);
-            if threads == 1 {
-                (base_ms, base_fp) = (wall_ms, fingerprint);
-            } else if fingerprint != base_fp {
-                eprintln!(
-                    "FAIL {name}: fingerprint {fingerprint} at {threads} threads, \
-                     expected {base_fp} (from 1 thread)"
-                );
-                deterministic = false;
-            }
-            eprintln!("{name:>16} threads={threads} wall={wall_ms:.1}ms fp={fingerprint}");
-            rows.push(StageRow {
-                stage: name,
-                threads,
-                wall_ms,
-                fingerprint,
-                speedup_vs_1: base_ms / wall_ms,
-            });
+    let (mut base_ms, mut base_fp) = (0.0, 0);
+    for threads in THREAD_BUDGETS {
+        dramsim::parallel::set_threads(threads);
+        let start = Instant::now();
+        let fingerprint = sim_stage();
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        if threads == 1 {
+            (base_ms, base_fp) = (wall_ms, fingerprint);
+        } else if fingerprint != base_fp {
+            eprintln!(
+                "FAIL {name}: fingerprint {fingerprint} at {threads} threads, \
+                 expected {base_fp} (from 1 thread)"
+            );
+            deterministic = false;
         }
+        eprintln!("{name:>16} threads={threads} wall={wall_ms:.1}ms fp={fingerprint}");
+        rows.push(StageRow {
+            stage: name,
+            threads,
+            wall_ms,
+            fingerprint,
+            speedup_vs_1: base_ms / wall_ms,
+        });
     }
     dramsim::parallel::set_threads(0);
 
     let doc = Doc {
-        workload: "dram: 16k mixed bursts; sim: IMDB@0.02 MAGNN hidden=16",
+        workload: "sim: IMDB@0.02 MAGNN hidden=16",
         seed: SEED,
         host_cpus,
         deterministic,

@@ -35,8 +35,12 @@ pub const MAGIC: [u8; 8] = *b"MNMPCKPT";
 ///
 /// History: 2 — the DRAM fault-injector image became per-channel
 /// (`InjectorSnapshot.states`, one counter-mode stream position per
-/// channel lane, replacing the single shared `state`).
-pub const FORMAT_VERSION: u32 = 2;
+/// channel lane, replacing the single shared `state`). 3 — DRAM
+/// channels drain as requests arrive, so each `ChannelSnapshot` carries
+/// its in-flight stats, fault tallies, deferred fault and audit counts
+/// since the last service barrier (version-2 images lack these fields
+/// and fail to decode as `Malformed`).
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 32;
 

@@ -377,11 +377,19 @@ mod imp {
             }
         }
 
-        /// Re-seeds the mirror from a restored snapshot: open rows and
-        /// refresh epochs carry over; timing history is unknown, so
+        /// `(commands, refreshes)` observed since the last
+        /// [`ChannelChecker::take_delta`].
+        pub(crate) fn counts(&self) -> (u64, u64) {
+            (self.commands, self.refreshes)
+        }
+
+        /// Re-seeds the mirror from a restored snapshot: open rows,
+        /// refresh epochs and the command/refresh counts since the last
+        /// service barrier carry over; timing history is unknown, so
         /// window checks resume only once fresh commands are observed.
-        pub(crate) fn reseed(&mut self, ranks: &[crate::snapshot::RankSnapshot]) {
-            for (mirror, snap) in self.ranks.iter_mut().zip(ranks) {
+        pub(crate) fn reseed(&mut self, channel: &crate::snapshot::ChannelSnapshot) {
+            (self.commands, self.refreshes) = channel.audit_counts;
+            for (mirror, snap) in self.ranks.iter_mut().zip(&channel.ranks) {
                 for (mb, sb) in mirror.banks.iter_mut().zip(&snap.banks) {
                     *mb = MirrorBank {
                         open_row: sb.open_row,
@@ -754,6 +762,10 @@ mod imp {
         #[inline(always)]
         pub(crate) fn new(_ch: usize, _ranks: usize, _banks: usize, _groups: usize) -> Self {
             ChannelChecker
+        }
+
+        pub(crate) fn counts(&self) -> (u64, u64) {
+            (0, 0)
         }
 
         #[inline(always)]

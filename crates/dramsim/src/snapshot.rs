@@ -1,22 +1,26 @@
 //! Serializable state images for checkpoint/resume.
 //!
 //! [`SystemState`] captures everything [`crate::MemorySystem`] carries
-//! between `service_all` calls: queued bursts, per-bank row-buffer and
-//! timing state, rank-level scheduling windows, cumulative statistics,
-//! pending-request bookkeeping, and the fault injector's stream
-//! positions. Restoring it into a fresh system under the same
-//! [`crate::DramConfig`] continues the timeline exactly — a resumed run
-//! issues the same commands at the same cycles as an uninterrupted one.
+//! between calls: queued bursts, per-bank row-buffer and timing state,
+//! rank-level scheduling windows, cumulative statistics, pending-request
+//! bookkeeping, the fault injector's stream positions, and — because
+//! channels drain as requests arrive — each channel's in-flight stats,
+//! fault tallies, deferred fault and audit counts since the last
+//! `service_all` barrier. Restoring it into a fresh system under the
+//! same [`crate::DramConfig`] continues the timeline exactly — a resumed
+//! run issues the same commands at the same cycles and reports the same
+//! totals as an uninterrupted one, whichever `enqueue` or `service_all`
+//! boundary the snapshot was taken at.
 //!
 //! Not captured: the telemetry-only accumulators (histograms, per-rank
-//! busy tallies, activity windows). Those are flushed to the global
-//! `obs` registry at every `service_all` boundary, which is also the
-//! only sound place to snapshot, so they are empty by construction; a
-//! restore resets them.
+//! busy tallies, activity windows). They are flushed to the global
+//! `obs` registry at every `service_all` barrier; a restore resets them,
+//! so a snapshot taken between barriers drops the telemetry of bursts
+//! drained since the last one.
 
 use serde::{Deserialize, Serialize};
 
-use faultsim::{FaultConfig, FaultStats, InjectorState};
+use faultsim::{FaultConfig, FaultError, FaultStats, InjectorState};
 
 use crate::config::DramConfig;
 use crate::request::{Locality, RequestKind};
@@ -92,6 +96,17 @@ pub struct ChannelSnapshot {
     pub bus_free: u64,
     /// Bursts still waiting to be scheduled, queue order preserved.
     pub queue: Vec<BurstState>,
+    /// Stats of bursts serviced since the last `service_all` barrier
+    /// (not yet folded into [`SystemState::stats`]).
+    pub stats: MemoryStats,
+    /// Fault tallies since the last barrier.
+    pub fault_stats: FaultStats,
+    /// Fault that stopped this channel, awaiting report at the next
+    /// barrier.
+    pub error: Option<FaultError>,
+    /// Audit checker `(commands, refreshes)` observed since the last
+    /// barrier (always zero without the `audit` feature).
+    pub audit_counts: (u64, u64),
 }
 
 /// Complete state image of a [`crate::MemorySystem`].

@@ -8,6 +8,19 @@
 //! This matches the fidelity a trace-driven Ramulator run provides for
 //! this study — latency, bandwidth, row-buffer behavior, and energy —
 //! at a fraction of the cost.
+//!
+//! Service is *streamed*: a channel is drained as requests arrive,
+//! down to one burst short of the FR-FCFS window, rather than buffering
+//! every burst until [`MemorySystem::try_service_all`]. While a channel
+//! holds at least `sched_window` bursts, each pick looks only at the
+//! window's head entries, and bursts enqueued later cannot change them;
+//! so the early drains issue exactly the picks, timings and fault draws
+//! a single deferred drain would. Per-channel accumulators fold into
+//! the system totals only at the `try_service_all` barrier, in channel
+//! order, which keeps the f64 energy sums in the same order too. A
+//! fault model with a stalled-rank mask keeps the deferred drain:
+//! stalled bursts rotate to the queue tail, so later enqueues would
+//! reorder them.
 
 use std::collections::VecDeque;
 
@@ -99,8 +112,8 @@ struct ChannelState {
     queue: VecDeque<Burst>,
     tally: ChanTally,
     /// Protocol-checker mirror for this channel (zero-sized no-op
-    /// without the `audit` feature). Worker-local like everything else
-    /// here, so violations accumulate deterministically per channel.
+    /// without the `audit` feature); violations accumulate per channel
+    /// and drain in channel order at the barrier.
     checker: audit::ChannelChecker,
     /// One-shot scheduler perturbation (audit test hook).
     #[cfg(feature = "audit")]
@@ -120,11 +133,10 @@ struct Burst {
     arrival: u64,
 }
 
-/// Result of servicing all queued requests.
+/// Result of servicing all queued requests. Per-request timing is
+/// read back with [`MemorySystem::completion`].
 #[derive(Debug, Clone)]
 pub struct Report {
-    /// Per-request completions, in enqueue order.
-    pub completions: Vec<Completion>,
     /// Cumulative statistics after servicing.
     pub stats: MemoryStats,
     /// Cumulative fault-injection accounting (all zero when no fault
@@ -138,8 +150,8 @@ pub struct Report {
 /// use dramsim::{DramConfig, MemorySystem, Request};
 /// let mut sys = MemorySystem::new(DramConfig::default());
 /// let id = sys.enqueue(Request::read(0, 64));
-/// let report = sys.service_all();
-/// let t = &report.completions[id.0];
+/// sys.service_all();
+/// let t = sys.completion(id).expect("serviced");
 /// // Idle-bank read: ACT@0, RD@tRCD, data at tRCD+tCL .. +tBL.
 /// assert_eq!(t.finish, 16 + 16 + 4);
 /// ```
@@ -148,18 +160,16 @@ pub struct MemorySystem {
     config: DramConfig,
     mapper: AddressMapper,
     channels: Vec<ChannelState>,
+    /// What each channel's service loop produced since the last
+    /// barrier, in channel order.
+    outcomes: Vec<ChannelOutcome>,
     stats: MemoryStats,
-    /// (bursts remaining, first data_start, last finish) per request.
+    /// (bursts remaining, first data_start, last finish) per request,
+    /// updated as each burst retires.
     pending: Vec<(usize, u64, u64)>,
     next_id: usize,
     /// Telemetry: the stats already published as counter deltas.
     flushed: MemoryStats,
-    /// Telemetry: burst latency (finish − arrival) since last flush.
-    latency_hist: obs::Histogram,
-    /// Telemetry: scheduler queue depth at each pick since last flush.
-    queue_depth_hist: obs::Histogram,
-    /// Telemetry: activates per bank index since last flush.
-    bank_act_tally: Vec<u64>,
     /// Per-channel fault injectors, one stream lane per channel (lane =
     /// channel index, so a single-channel system reproduces the legacy
     /// single-injector schedule exactly). Empty when no fault model is
@@ -170,10 +180,6 @@ pub struct MemorySystem {
     fault_stats: FaultStats,
     /// Telemetry: the fault stats already published as counter deltas.
     flushed_faults: FaultStats,
-    /// Telemetry: closed per-rank activity windows awaiting emission,
-    /// accumulated in channel order — `(channel, linear rank, start
-    /// cycle, duration)`.
-    slice_buffer: Vec<(usize, usize, u64, u64)>,
     /// System-level audit accumulators (violations drained from the
     /// per-channel checkers in channel order, plus the retirement
     /// ledger).
@@ -227,17 +233,14 @@ impl MemorySystem {
         MemorySystem {
             mapper: AddressMapper::new(config),
             channels,
+            outcomes: fresh_outcomes(&config),
             stats: MemoryStats::default(),
             pending: Vec::new(),
             next_id: 0,
             flushed: MemoryStats::default(),
-            latency_hist: obs::Histogram::new(),
-            queue_depth_hist: obs::Histogram::new(),
-            bank_act_tally: vec![0; config.banks_per_rank()],
             injectors: Vec::new(),
             fault_stats: FaultStats::default(),
             flushed_faults: FaultStats::default(),
-            slice_buffer: Vec::new(),
             #[cfg(feature = "audit")]
             audit: AuditAccum::default(),
             config,
@@ -257,8 +260,12 @@ impl MemorySystem {
     /// code path.
     ///
     /// One injector is created per channel, each drawing from its own
-    /// stream lane, so channels can be serviced concurrently without
-    /// sharing an event counter (see [`FaultInjector::with_lane`]).
+    /// stream lane, so a channel's fault schedule depends only on its
+    /// own service order (see [`FaultInjector::with_lane`]).
+    ///
+    /// Attach the model before enqueueing: bursts already drained
+    /// through a full scheduling window were serviced under the model
+    /// attached at the time.
     pub fn set_faults(&mut self, faults: FaultConfig) {
         self.injectors = if faults.is_active() {
             (0..self.config.channels)
@@ -270,7 +277,7 @@ impl MemorySystem {
     }
 
     /// Cumulative fault-injection accounting (all zero when no fault
-    /// model is attached).
+    /// model is attached), as of the last `try_service_all` barrier.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats
     }
@@ -295,8 +302,30 @@ impl MemorySystem {
         &self.stats
     }
 
+    /// Timing of a request once its last burst has retired; `None`
+    /// while any of its bursts is still queued (or for an unknown id).
+    ///
+    /// A request may retire in an early drain during a later
+    /// [`MemorySystem::enqueue`], before the `service_all` barrier; its
+    /// completion never changes after that.
+    pub fn completion(&self, id: RequestId) -> Option<Completion> {
+        match *self.pending.get(id.0)? {
+            (0, data_start, finish) => Some(Completion {
+                id,
+                data_start,
+                finish,
+            }),
+            _ => None,
+        }
+    }
+
     /// Queues a request; larger-than-burst requests are split into
     /// sequential bursts and complete when their last burst finishes.
+    ///
+    /// A channel whose queue reaches a full FR-FCFS window is drained
+    /// down to `sched_window - 1` bursts right away (see the module
+    /// docs for why that is exact), so a queue never holds more than a
+    /// window unless a stalled-rank mask is attached.
     ///
     /// # Panics
     ///
@@ -312,10 +341,13 @@ impl MemorySystem {
             self.audit.expected.push(bursts);
             self.audit.serviced.push(0);
         }
+        let window = self.config.sched_window.max(1);
+        let streamed = self.streams();
         for i in 0..bursts {
             let addr = req.addr + (i * self.config.burst_bytes) as u64;
             let loc = self.mapper.map(addr);
-            self.channels[loc.channel].queue.push_back(Burst {
+            let queue = &mut self.channels[loc.channel].queue;
+            queue.push_back(Burst {
                 id,
                 addr,
                 loc,
@@ -323,12 +355,41 @@ impl MemorySystem {
                 locality: req.locality,
                 arrival: req.arrival_cycle,
             });
+            if streamed && queue.len() >= window {
+                self.worker(loc.channel).drain(window - 1);
+            }
         }
         id
     }
 
+    /// Whether channels drain as requests arrive. A stalled-rank mask
+    /// rotates stalled bursts to the queue tail, where later enqueues
+    /// would overtake them, so it keeps the deferred drain.
+    fn streams(&self) -> bool {
+        self.injectors
+            .first()
+            .is_none_or(|inj| inj.config().stalled_rank_mask == 0)
+    }
+
+    /// The service loop of channel `ch`, borrowing exactly that
+    /// channel's state, injector lane and accumulators plus the shared
+    /// completion ledger.
+    fn worker(&mut self, ch: usize) -> ChannelWorker<'_> {
+        ChannelWorker {
+            config: &self.config,
+            ch,
+            state: &mut self.channels[ch],
+            injector: self.injectors.get_mut(ch),
+            out: &mut self.outcomes[ch],
+            pending: &mut self.pending,
+            #[cfg(feature = "audit")]
+            serviced: &mut self.audit.serviced,
+        }
+    }
+
     /// Services every queued request with per-channel FR-FCFS
-    /// scheduling and returns the completions in enqueue order.
+    /// scheduling and folds what the channels produced since the last
+    /// call into the cumulative statistics.
     ///
     /// Bank and bus state persists across calls, so a later
     /// `service_all` continues from the current timeline.
@@ -354,51 +415,30 @@ impl MemorySystem {
     /// structured [`FaultError`] instead of completing. Without an
     /// active fault model this never fails.
     ///
-    /// Channels share no timing state, so each channel's service loop
-    /// runs as an independent worker — on scoped threads when the host
-    /// thread budget ([`crate::parallel`]) and queue depth warrant it —
-    /// and the workers' deltas are folded back in fixed channel order.
-    /// The serial and threaded paths execute the same worker code and
-    /// the same ordered merge, so the report is byte-identical at every
-    /// thread count.
+    /// This is the barrier of the streamed service: every channel
+    /// drains its remaining bursts, then the per-channel accumulators
+    /// fold into the system totals in fixed channel order.
     ///
-    /// On error, bursts already serviced keep their timeline effects
-    /// and unserviced bursts stay queued; every channel is still
-    /// serviced (faults abort their own channel only) and the
-    /// lowest-indexed channel's error is reported. Telemetry is flushed
-    /// either way so the trip is visible in the registry.
+    /// A fault aborts only its own channel, which stops draining at
+    /// the fault — also when it was raised by an early drain inside
+    /// [`MemorySystem::enqueue`] — and keeps its unserviced bursts
+    /// queued; bursts already serviced keep their timeline effects.
+    /// Every other channel still drains, and the lowest-indexed
+    /// channel's error is reported here. Telemetry is flushed either
+    /// way so the trip is visible in the registry.
     pub fn try_service_all(&mut self) -> Result<Report, FaultError> {
-        let first_new = self.pending.iter().position(|&(n, _, _)| n > 0);
+        for ch in 0..self.channels.len() {
+            self.worker(ch).drain(0);
+        }
+        let mut outcomes = std::mem::replace(&mut self.outcomes, fresh_outcomes(&self.config));
         let mut aborted = None;
-        for out in self.service_channels() {
-            // Ordered merge: outcomes arrive in channel order, so every
-            // accumulator — including the f64 energy tallies — sees the
-            // same fold sequence regardless of the thread count.
+        for out in &mut outcomes {
             self.stats.merge(&out.stats);
             self.fault_stats.merge(&out.fault_stats);
-            self.latency_hist.merge(&out.latency_hist);
-            self.queue_depth_hist.merge(&out.queue_depth_hist);
-            for (bank, n) in out.bank_act_tally.iter().enumerate() {
-                self.bank_act_tally[bank] += n;
-            }
-            for &(idx, data_start, finish) in &out.bursts {
-                let entry = &mut self.pending[idx];
-                entry.0 -= 1;
-                entry.1 = entry.1.min(data_start);
-                entry.2 = entry.2.max(finish);
-                #[cfg(feature = "audit")]
-                {
-                    self.audit.serviced[idx] += 1;
-                }
-            }
-            self.slice_buffer
-                .extend(out.slices.iter().map(|&(r, s, d)| (out.ch, r, s, d)));
             if aborted.is_none() {
-                aborted = out.error;
+                aborted = out.error.take();
             }
         }
-        // Drain the per-channel checkers in channel order so the
-        // violation list is identical at every thread count.
         #[cfg(feature = "audit")]
         for ch in &mut self.channels {
             let (mut violations, commands, refreshes) = ch.checker.take_delta();
@@ -411,21 +451,11 @@ impl MemorySystem {
         let ranks = self.config.total_ranks() as f64;
         self.stats.energy.background_pj =
             self.config.energy.background_mw_per_rank * 1e-3 * ranks * elapsed_s * 1e12;
-        self.flush_telemetry();
+        self.flush_telemetry(&outcomes);
         if let Some(e) = aborted {
             return Err(e);
         }
 
-        let start = first_new.unwrap_or(self.pending.len());
-        let completions = self.pending[start..]
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, data_start, finish))| Completion {
-                id: RequestId(start + i),
-                data_start,
-                finish,
-            })
-            .collect();
         // The health census is a point-in-time classification, not a
         // counter: set it on the emitted report (idempotent across
         // service calls) rather than folding it into the accumulator.
@@ -436,7 +466,6 @@ impl MemorySystem {
             faults.ranks_tripped = t;
         }
         Ok(Report {
-            completions,
             stats: self.stats,
             faults,
         })
@@ -444,10 +473,11 @@ impl MemorySystem {
 
     /// Publishes accumulated telemetry tallies to the global registry.
     ///
-    /// Called once per [`MemorySystem::service_all`] so the per-burst
-    /// hot path never takes the registry lock; global counters receive
-    /// the delta since the previous flush, histograms merge and reset.
-    fn flush_telemetry(&mut self) {
+    /// Called once per [`MemorySystem::service_all`] with the channel
+    /// outcomes of that barrier, so the per-burst hot path never takes
+    /// the registry lock; global counters receive the delta since the
+    /// previous flush, histograms merge.
+    fn flush_telemetry(&mut self, outcomes: &[ChannelOutcome]) {
         if !obs::is_enabled() {
             return;
         }
@@ -485,24 +515,32 @@ impl MemorySystem {
         obs::gauge_set("dram.elapsed_cycles", self.stats.elapsed_cycles as f64);
         obs::gauge_set("dram.energy_total_pj", self.stats.energy.total_pj());
         obs::gauge_set("dram.energy_bus_pj", self.stats.energy.bus_pj());
-        obs::hist_merge("dram.burst_latency_cycles", &self.latency_hist);
-        self.latency_hist = obs::Histogram::new();
-        obs::hist_merge("dram.sched_queue_depth", &self.queue_depth_hist);
-        self.queue_depth_hist = obs::Histogram::new();
-        for (b, n) in self.bank_act_tally.iter_mut().enumerate() {
-            obs::counter_add(&format!("dram.bank{b}.activates"), *n);
-            *n = 0;
+        let mut latency = obs::Histogram::new();
+        let mut queue_depth = obs::Histogram::new();
+        let mut bank_acts = vec![0u64; self.config.banks_per_rank()];
+        for out in outcomes {
+            latency.merge(&out.latency_hist);
+            queue_depth.merge(&out.queue_depth_hist);
+            for (total, n) in bank_acts.iter_mut().zip(&out.bank_act_tally) {
+                *total += n;
+            }
+        }
+        obs::hist_merge("dram.burst_latency_cycles", &latency);
+        obs::hist_merge("dram.sched_queue_depth", &queue_depth);
+        for (b, n) in bank_acts.into_iter().enumerate() {
+            obs::counter_add(&format!("dram.bank{b}.activates"), n);
         }
         let rpd = self.config.ranks_per_dimm;
-        // Closed activity windows, buffered by the channel workers and
-        // already ordered by channel at the merge barrier.
-        for (ch, r, start, dur) in self.slice_buffer.drain(..) {
-            obs::sim_slice(
-                &format!("dram ch{ch} dimm{} rank{}", r / rpd, r % rpd),
-                "data",
-                start,
-                dur,
-            );
+        // Closed activity windows, in channel order.
+        for (ch, out) in outcomes.iter().enumerate() {
+            for &(r, start, dur) in &out.slices {
+                obs::sim_slice(
+                    &format!("dram ch{ch} dimm{} rank{}", r / rpd, r % rpd),
+                    "data",
+                    start,
+                    dur,
+                );
+            }
         }
         for (ch, channel) in self.channels.iter_mut().enumerate() {
             let t = std::mem::take(&mut channel.tally);
@@ -531,55 +569,6 @@ impl MemorySystem {
         self.flushed = self.stats;
         self.fault_stats.delta(&self.flushed_faults).publish();
         self.flushed_faults = self.fault_stats;
-    }
-
-    /// Services every channel and returns one outcome per channel, in
-    /// channel order.
-    ///
-    /// The thread budget changes only the execution strategy: with a
-    /// budget of one — or too little queued work to amortize thread
-    /// spawns — the workers run inline on this thread; otherwise each
-    /// channel's worker runs on a scoped thread. Both paths execute the
-    /// same per-channel accumulation and return outcomes in channel
-    /// order, so the caller's merge is identical at every thread count.
-    fn service_channels(&mut self) -> Vec<ChannelOutcome> {
-        let queued: usize = self.channels.iter().map(|c| c.queue.len()).sum();
-        let busy = self.channels.iter().filter(|c| !c.queue.is_empty()).count();
-        let banks = self.config.banks_per_rank();
-        let injectors: Vec<Option<&mut FaultInjector>> = if self.injectors.is_empty() {
-            (0..self.channels.len()).map(|_| None).collect()
-        } else {
-            self.injectors.iter_mut().map(Some).collect()
-        };
-        let config = &self.config;
-        let workers: Vec<ChannelWorker<'_>> = self
-            .channels
-            .iter_mut()
-            .zip(injectors)
-            .enumerate()
-            .map(|(ch, (state, injector))| ChannelWorker {
-                config,
-                ch,
-                state,
-                injector,
-                out: ChannelOutcome::new(ch, banks),
-            })
-            .collect();
-        let threads = crate::parallel::threads().min(busy.max(1));
-        if threads <= 1 || queued < PAR_MIN_QUEUED_BURSTS {
-            workers.into_iter().map(ChannelWorker::run).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .into_iter()
-                    .map(|w| scope.spawn(move || w.run()))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            })
-        }
     }
 
     /// Builds a system directly from a state image: `new` under the
@@ -612,9 +601,11 @@ impl MemorySystem {
     /// `enabled == false`; callers should treat that as "not audited",
     /// not as "clean" (see [`audit::AuditReport::is_clean`]).
     ///
-    /// Sound at a `service_all` boundary. Audit state is per-process:
-    /// a system restored from a snapshot re-seeds its mirrors from the
-    /// image and audits from that point on.
+    /// Complete at a `service_all` barrier, where the per-channel
+    /// checkers drain. Violations are per-process: a system restored
+    /// from a snapshot re-seeds its mirrors from the image and audits
+    /// from that point on, carrying over only the command and refresh
+    /// counts observed since the last barrier.
     pub fn audit_report(&self, expect_drained: bool) -> audit::AuditReport {
         #[cfg(feature = "audit")]
         {
@@ -750,76 +741,78 @@ impl MemorySystem {
     }
 }
 
-/// Channel servicing fans out to scoped worker threads only when at
-/// least this many bursts are queued system-wide; below it the spawn
-/// cost exceeds the service cost. Purely a wall-clock heuristic — both
-/// paths run the same worker code and ordered merge.
-const PAR_MIN_QUEUED_BURSTS: usize = 2048;
-
-/// Everything one channel's service loop produced, accumulated locally
-/// on whatever thread ran it and folded into the shared system state in
-/// fixed channel order at the `try_service_all` barrier.
+/// Everything one channel's service loop produced since the last
+/// `try_service_all` barrier. Early drains inside `enqueue` keep adding
+/// to it; the barrier folds it into the system totals in fixed channel
+/// order, so every accumulator — the f64 energy tallies included — sees
+/// the same fold sequence as one deferred drain.
+#[derive(Debug)]
 struct ChannelOutcome {
-    ch: usize,
-    /// Stats delta for this service call (`elapsed_cycles` is the local
-    /// max finish; [`MemoryStats::merge`] max-merges it).
+    /// Stats delta (`elapsed_cycles` is the local max finish;
+    /// [`MemoryStats::merge`] max-merges it).
     stats: MemoryStats,
     /// Fault-accounting delta.
     fault_stats: FaultStats,
     latency_hist: obs::Histogram,
     queue_depth_hist: obs::Histogram,
     bank_act_tally: Vec<u64>,
-    /// `(request index, data_start, finish)` per serviced burst, in
-    /// service order.
-    bursts: Vec<(usize, u64, u64)>,
     /// Closed activity windows: `(linear rank, start cycle, duration)`.
     slices: Vec<(usize, u64, u64)>,
-    /// Abort raised by the fault pipeline, if any; bursts serviced
-    /// before it keep their timeline effects.
+    /// Abort raised by the fault pipeline, if any. The channel stops
+    /// draining until the barrier reports it; bursts serviced before
+    /// it keep their timeline effects.
     error: Option<FaultError>,
 }
 
 impl ChannelOutcome {
-    fn new(ch: usize, banks: usize) -> Self {
+    fn new(banks: usize) -> Self {
         ChannelOutcome {
-            ch,
             stats: MemoryStats::default(),
             fault_stats: FaultStats::default(),
             latency_hist: obs::Histogram::new(),
             queue_depth_hist: obs::Histogram::new(),
             bank_act_tally: vec![0; banks],
-            bursts: Vec::new(),
             slices: Vec::new(),
             error: None,
         }
     }
 }
 
-/// One channel's FR-FCFS service loop, detached from the shared
-/// [`MemorySystem`] so it can run on any thread: it holds mutable
-/// access to exactly its channel's state (and that channel's injector
-/// lane) and accumulates everything shared into a private
-/// [`ChannelOutcome`]. Telemetry is buffered in the outcome — workers
-/// never touch the global registry, which keeps the registry contents
-/// independent of thread scheduling.
+fn fresh_outcomes(config: &DramConfig) -> Vec<ChannelOutcome> {
+    (0..config.channels)
+        .map(|_| ChannelOutcome::new(config.banks_per_rank()))
+        .collect()
+}
+
+/// One channel's FR-FCFS service loop: mutable access to exactly its
+/// channel's state, that channel's injector lane and accumulators, and
+/// the completion ledger. Telemetry is buffered in the outcome and
+/// published at the barrier, never from the per-burst hot path.
 struct ChannelWorker<'a> {
     config: &'a DramConfig,
     ch: usize,
     state: &'a mut ChannelState,
     injector: Option<&'a mut FaultInjector>,
-    out: ChannelOutcome,
+    out: &'a mut ChannelOutcome,
+    pending: &'a mut [(usize, u64, u64)],
+    #[cfg(feature = "audit")]
+    serviced: &'a mut [usize],
 }
 
 impl ChannelWorker<'_> {
-    fn run(mut self) -> ChannelOutcome {
+    /// Services bursts until at most `keep` remain queued. A channel
+    /// holding a deferred fault does not drain.
+    fn drain(mut self, keep: usize) {
+        if self.out.error.is_some() {
+            return;
+        }
         if self.injector.is_some() {
-            if let Err(e) = self.service_faulty() {
+            if let Err(e) = self.service_faulty(keep) {
                 self.out.error = Some(e);
             }
         } else {
-            self.service_clean();
+            self.service_clean(keep);
         }
-        self.out
     }
 
     fn injector_ref(&self) -> &FaultInjector {
@@ -842,12 +835,19 @@ impl ChannelWorker<'_> {
     }
 
     fn record_serviced(&mut self, id: RequestId, data_start: u64, finish: u64) {
-        self.out.bursts.push((id.0, data_start, finish));
+        let entry = &mut self.pending[id.0];
+        entry.0 -= 1;
+        entry.1 = entry.1.min(data_start);
+        entry.2 = entry.2.max(finish);
+        #[cfg(feature = "audit")]
+        {
+            self.serviced[id.0] += 1;
+        }
         self.out.stats.elapsed_cycles = self.out.stats.elapsed_cycles.max(finish);
     }
 
-    fn service_clean(&mut self) {
-        while !self.state.queue.is_empty() {
+    fn service_clean(&mut self, keep: usize) {
+        while self.state.queue.len() > keep {
             self.out
                 .queue_depth_hist
                 .record(self.state.queue.len() as u64);
@@ -861,10 +861,10 @@ impl ChannelWorker<'_> {
     /// The fault-aware service loop: every burst runs through the
     /// transient/persistent fault pipeline after issue, and a watchdog
     /// bounds no-progress rounds once only stalled-rank bursts remain.
-    fn service_faulty(&mut self) -> Result<(), FaultError> {
+    fn service_faulty(&mut self, keep: usize) -> Result<(), FaultError> {
         let cfg = *self.injector_ref().config();
         let mut watchdog = Watchdog::new(cfg.watchdog_limit);
-        while !self.state.queue.is_empty() {
+        while self.state.queue.len() > keep {
             self.out
                 .queue_depth_hist
                 .record(self.state.queue.len() as u64);
@@ -1252,9 +1252,12 @@ impl checkpoint::Snapshot for MemorySystem {
 
     /// Captures the complete scheduler state.
     ///
-    /// Sound only at a `service_all` boundary (the natural checkpoint
-    /// site): the telemetry-local accumulators are flushed there, so
-    /// dropping them from the image loses nothing.
+    /// Sound at any `enqueue` or `service_all` boundary: besides the
+    /// queues and bank state, the image carries each channel's
+    /// in-flight stats, fault tallies and deferred fault from early
+    /// drains, plus its audit checker's command and refresh counts.
+    /// Telemetry-only accumulators (histograms, per-rank busy windows)
+    /// are not part of the image.
     fn snapshot(&self) -> SystemState {
         SystemState {
             config: self.config,
@@ -1275,7 +1278,8 @@ impl checkpoint::Snapshot for MemorySystem {
             channels: self
                 .channels
                 .iter()
-                .map(|ch| ChannelSnapshot {
+                .zip(&self.outcomes)
+                .map(|(ch, out)| ChannelSnapshot {
                     ranks: ch
                         .ranks
                         .iter()
@@ -1311,6 +1315,10 @@ impl checkpoint::Snapshot for MemorySystem {
                             arrival: b.arrival,
                         })
                         .collect(),
+                    stats: out.stats,
+                    fault_stats: out.fault_stats,
+                    error: out.error.clone(),
+                    audit_counts: ch.checker.counts(),
                 })
                 .collect(),
         }
@@ -1444,11 +1452,25 @@ impl checkpoint::Restore for MemorySystem {
                 perturb: audit::Perturbation::None,
             })
             .collect();
-        // Audit state is per-process, not part of the image: the
-        // retirement ledger restarts from the pending set, the mirrors
-        // re-seed from the snapshot's open rows and refresh epochs,
-        // and the refresh-energy baseline absorbs pre-snapshot pJ so
-        // the closed form only covers refreshes this process observed.
+        // In-flight accumulators of early drains; telemetry-only parts
+        // restart empty.
+        self.outcomes = state
+            .channels
+            .iter()
+            .map(|ch| ChannelOutcome {
+                stats: ch.stats,
+                fault_stats: ch.fault_stats,
+                error: ch.error.clone(),
+                ..ChannelOutcome::new(banks)
+            })
+            .collect();
+        // Audit state is per-process apart from the checker counts
+        // since the image's last barrier: the retirement ledger
+        // restarts from the pending set, the mirrors re-seed from the
+        // snapshot's open rows, refresh epochs and counts, and the
+        // refresh-energy baseline absorbs the pJ folded before that
+        // barrier, so the closed form covers the refreshes counted
+        // since it.
         #[cfg(feature = "audit")]
         {
             self.audit = AuditAccum {
@@ -1458,13 +1480,9 @@ impl checkpoint::Restore for MemorySystem {
                 ..AuditAccum::default()
             };
             for (ch_state, snap) in self.channels.iter_mut().zip(&state.channels) {
-                ch_state.checker.reseed(&snap.ranks);
+                ch_state.checker.reseed(snap);
             }
         }
-        // Telemetry-only accumulators restart empty (see `snapshot`).
-        self.latency_hist = obs::Histogram::new();
-        self.queue_depth_hist = obs::Histogram::new();
-        self.bank_act_tally = vec![0; banks];
         Ok(())
     }
 }
@@ -1481,12 +1499,25 @@ mod tests {
         }
     }
 
+    /// The completion of request `i`, which must have retired.
+    #[track_caller]
+    fn done(sys: &MemorySystem, i: usize) -> Completion {
+        sys.completion(RequestId(i)).expect("request retired")
+    }
+
+    /// Every request's completion, in enqueue order.
+    fn all_done(sys: &MemorySystem) -> Vec<Option<Completion>> {
+        (0..sys.next_id)
+            .map(|i| sys.completion(RequestId(i)))
+            .collect()
+    }
+
     #[test]
     fn idle_read_latency() {
         let mut sys = MemorySystem::new(single_channel());
         sys.enqueue(Request::read(0, 64));
         let r = sys.service_all();
-        let t = &r.completions[0];
+        let t = done(&sys, 0);
         // ACT@0, RD@tRCD=16, data @ 32..36.
         assert_eq!(t.data_start, 32);
         assert_eq!(t.finish, 36);
@@ -1504,7 +1535,7 @@ mod tests {
         assert_eq!(r.stats.row_hits, 1);
         // Second read: col at tCCD_L after first col (same bank group),
         // data 16+6+16=38..42 — well before a fresh ACT would allow.
-        assert_eq!(r.completions[1].finish, 42);
+        assert_eq!(done(&sys, 1).finish, 42);
     }
 
     #[test]
@@ -1537,7 +1568,7 @@ mod tests {
         assert_eq!(r.stats.activates, 2);
         // Second: PRE at tRAS=39, ACT at 39+16=55 (=tRC), RD at 71,
         // data 87..91.
-        assert_eq!(r.completions[1].finish, 91);
+        assert_eq!(done(&sys, 1).finish, 91);
     }
 
     #[test]
@@ -1562,7 +1593,7 @@ mod tests {
         assert_eq!(r.stats.activates, 5);
         // ACTs at 0, 4, 8, 12 (tRRD_S); the fifth must wait for
         // tFAW=26 from the first: data at 26+16+16=58..62.
-        assert_eq!(r.completions[4].finish, 62);
+        assert_eq!(done(&sys, 4).finish, 62);
     }
 
     #[test]
@@ -1656,7 +1687,7 @@ mod tests {
         let mut sys = MemorySystem::new(cfg);
         let id = sys.enqueue(Request::read(0, 256)); // 4 bursts
         let r = sys.service_all();
-        let c = &r.completions[id.0];
+        let c = done(&sys, id.0);
         assert!(c.finish > c.data_start + 4);
         assert_eq!(r.stats.reads, 4);
     }
@@ -1680,12 +1711,15 @@ mod tests {
     #[test]
     fn stats_accumulate_across_service_calls() {
         let mut sys = MemorySystem::new(single_channel());
-        sys.enqueue(Request::read(0, 64));
+        let first = sys.enqueue(Request::read(0, 64));
         sys.service_all();
-        sys.enqueue(Request::read(1 << 20, 64));
+        let before = sys.completion(first);
+        let second = sys.enqueue(Request::read(1 << 20, 64));
+        assert_eq!(sys.completion(second), None, "queued, not yet serviced");
         let r = sys.service_all();
         assert_eq!(r.stats.reads, 2);
-        assert_eq!(r.completions.len(), 1, "only new completions returned");
+        assert!(sys.completion(second).is_some());
+        assert_eq!(sys.completion(first), before, "completions are final");
     }
 
     #[test]
@@ -1725,9 +1759,9 @@ mod tests {
         let r = sys.service_all();
         assert_eq!(r.stats.row_misses, 2, "row closed by refresh");
         assert!(
-            r.completions[1].data_start >= t.t_refi + t.t_rfc,
+            done(&sys, 1).data_start >= t.t_refi + t.t_rfc,
             "second read must wait out the refresh window: {} < {}",
-            r.completions[1].data_start,
+            done(&sys, 1).data_start,
             t.t_refi + t.t_rfc
         );
         assert!(r.stats.energy.refresh_pj > 0.0);
@@ -1749,8 +1783,8 @@ mod tests {
     fn completions_respect_arrival() {
         let mut sys = MemorySystem::new(single_channel());
         sys.enqueue(Request::read(0, 64).at_cycle(1000));
-        let r = sys.service_all();
-        assert!(r.completions[0].data_start >= 1000);
+        sys.service_all();
+        assert!(done(&sys, 0).data_start >= 1000);
     }
 
     #[test]
@@ -1764,10 +1798,7 @@ mod tests {
         let a = plain.service_all();
         let b = faulty.try_service_all().expect("zero-rate cannot fail");
         assert_eq!(a.stats, b.stats);
-        assert_eq!(a.completions.len(), b.completions.len());
-        for (x, y) in a.completions.iter().zip(&b.completions) {
-            assert_eq!((x.data_start, x.finish), (y.data_start, y.finish));
-        }
+        assert_eq!(all_done(&plain), all_done(&faulty));
         assert!(b.faults.is_empty());
     }
 
@@ -1949,10 +1980,7 @@ mod tests {
         let b = resumed.try_service_all().expect("recoverable faults");
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.faults, b.faults);
-        assert_eq!(a.completions.len(), b.completions.len());
-        for (x, y) in a.completions.iter().zip(&b.completions) {
-            assert_eq!(x, y);
-        }
+        assert_eq!(all_done(&reference), all_done(&resumed));
     }
 
     #[test]
@@ -1969,38 +1997,176 @@ mod tests {
         assert!(same_cfg.restore(&tampered).is_err(), "rank layout differs");
     }
 
+    /// Request `i` of a mixed multi-channel stream: every locality,
+    /// reads and writes, multi-burst requests, and row conflicts.
+    fn mixed_request(i: u64) -> Request {
+        match i % 6 {
+            0 => Request::write(i * 4096, 64),
+            1 => Request::local_read(i * 64, 128),
+            2 => Request::broadcast_write(i * 64, 64),
+            3 => Request::read(i * 64, 256),
+            4 => Request::local_write((i % 32) * 4096, 64),
+            _ => Request::read((i % 16) * 4096, 64),
+        }
+    }
+
     #[test]
-    fn thread_budget_does_not_change_results() {
-        // Enough queued bursts to clear the spawn threshold, spread
-        // over every channel, with an active fault model so the
-        // per-channel injector lanes are exercised too.
+    fn channel_queues_never_exceed_the_window() {
         let faults = FaultConfig {
-            seed: 11,
-            bit_flip_rate: 0.002,
+            seed: 5,
+            bit_flip_rate: 0.01,
             stall_rate: 0.01,
             ..FaultConfig::off()
         };
-        let run_with = |threads: usize| {
-            crate::parallel::set_threads(threads);
-            let mut sys = MemorySystem::with_faults(DramConfig::default(), faults);
-            for i in 0..4096u64 {
-                if i % 3 == 0 {
-                    sys.enqueue(Request::write(i * 64, 64));
-                } else {
-                    sys.enqueue(Request::read(i * 64, 64));
+        let systems = [
+            MemorySystem::new(DramConfig::default()),
+            MemorySystem::with_faults(DramConfig::default(), faults),
+        ];
+        for mut sys in systems {
+            let window = sys.config().sched_window;
+            for i in 0..2048 {
+                sys.enqueue(mixed_request(i));
+                for (ch, c) in sys.channels.iter().enumerate() {
+                    assert!(
+                        c.queue.len() < window,
+                        "request {i}: channel {ch} holds {} bursts",
+                        c.queue.len()
+                    );
                 }
             }
-            let report = sys
-                .try_service_all()
-                .expect("low fault rates stay recoverable");
-            crate::parallel::set_threads(0);
-            report
+            sys.try_service_all().expect("recoverable faults only");
+            assert!(sys.channels.iter().all(|c| c.queue.is_empty()));
+        }
+
+        // A stalled-rank mask keeps the deferred drain.
+        let stalled = FaultConfig {
+            stalled_rank_mask: 0b10,
+            ..FaultConfig::off()
         };
-        let serial = run_with(1);
-        let threaded = run_with(4);
-        assert_eq!(serial.stats, threaded.stats);
-        assert_eq!(serial.faults, threaded.faults);
-        assert_eq!(serial.completions, threaded.completions);
+        let mut sys = MemorySystem::with_faults(single_channel(), stalled);
+        for i in 0..64u64 {
+            sys.enqueue(Request::read(i * 64, 64));
+        }
+        assert_eq!(sys.channels[0].queue.len(), 64);
+    }
+
+    #[test]
+    fn ecc_abort_in_an_early_drain_surfaces_at_the_barrier() {
+        use checkpoint::Snapshot;
+        // Channel 0 carries reads, which draw bit flips; channel 1 only
+        // writes, which never fault. Every read flips bits and the
+        // first double-bit detection is fatal.
+        let cfg = DramConfig {
+            channels: 2,
+            ..DramConfig::default()
+        };
+        let faults = FaultConfig {
+            seed: 3,
+            bit_flip_rate: 1.0,
+            retry_limit: 0,
+            ..FaultConfig::off()
+        };
+        let mapper = AddressMapper::new(cfg);
+        let mut sys = MemorySystem::with_faults(cfg, faults);
+        for i in 0..400usize {
+            let addr = mapper.compose(Location {
+                channel: i % 2,
+                dimm: 0,
+                rank: (i / 2) % 2,
+                bank_group: (i / 4) % 4,
+                bank: 0,
+                row: ((i / 16) % 8) as u64,
+                column: (i / 2) % 64,
+            });
+            if i % 2 == 0 {
+                sys.enqueue(Request::read(addr, 64));
+            } else {
+                sys.enqueue(Request::write(addr, 64));
+            }
+        }
+        assert!(
+            sys.outcomes[0].error.is_some(),
+            "the abort is raised by an early drain"
+        );
+        assert!(
+            sys.channels[0].queue.len() > cfg.sched_window,
+            "the aborted channel stops draining"
+        );
+        let mut resumed = MemorySystem::from_state(&sys.snapshot()).expect("valid state");
+
+        // Tallies and errors recorded from the deferred drain, which
+        // serviced everything inside `try_service_all`.
+        let first_error = "Mem(MemError { request: 20, rank: 0, bank: 4, row: 1, \
+                           kind: UncorrectableEcc })";
+        let first_stats = "MemoryStats { reads: 11, writes: 200, row_hits: 0, row_misses: 211, \
+             activates: 211, precharges: 195, broadcast_transfers: 0, \
+             channel_bus_busy_cycles: 844, local_bus_busy_cycles: 0, channel_bytes: 13504, \
+             local_bytes: 0, elapsed_cycles: 1744, energy: EnergyBreakdown { \
+             activate_pj: 422000.0, array_pj: 162048.0, io_pj: 648192.0, broadcast_io_pj: 0.0, \
+             local_io_pj: 0.0, background_pj: 581333.3333333334, refresh_pj: 0.0 } }";
+        let first_faults = "FaultStats { injected_bit_flips: 12, ecc_corrected: 10, \
+             ecc_detected: 1, ecc_silent_miss: 0, read_retries: 0, row_remaps: 0, \
+             bank_remaps: 0, broadcast_drops: 0, broadcast_corruptions: 0, \
+             broadcast_retries: 0, broadcast_fallbacks: 0, stall_events: 0, stall_cycles: 0, \
+             watchdog_trips: 0, mem_errors: 1, ranks_healthy: 0, ranks_degraded: 0, \
+             ranks_tripped: 0 }";
+        // A snapshot taken while the fault was deferred reports it too.
+        for sys in [&mut sys, &mut resumed] {
+            let e = sys
+                .try_service_all()
+                .expect_err("the deferred abort surfaces");
+            assert_eq!(format!("{e:?}"), first_error);
+            assert_eq!(format!("{:?}", sys.stats()), first_stats);
+            assert_eq!(format!("{:?}", sys.fault_stats()), first_faults);
+            // The healthy channel drained fully.
+            assert!(sys.channels[1].queue.is_empty());
+            for i in (1..400).step_by(2) {
+                assert!(sys.completion(RequestId(i)).is_some(), "write {i}");
+            }
+        }
+
+        // The next barrier resumes the aborted channel at its head.
+        let e = sys.try_service_all().expect_err("every read flips bits");
+        assert_eq!(
+            format!("{e:?}"),
+            "Mem(MemError { request: 42, rank: 1, bank: 8, row: 2, kind: UncorrectableEcc })"
+        );
+        assert_eq!((sys.stats().reads, sys.stats().row_misses), (22, 222));
+        assert_eq!(sys.fault_stats().mem_errors, 2);
+        assert_eq!(sys.fault_stats().injected_bit_flips, 24);
+    }
+
+    #[test]
+    fn snapshot_between_barriers_continues_exactly() {
+        use checkpoint::Snapshot;
+        let faults = FaultConfig {
+            seed: 8,
+            bit_flip_rate: 0.02,
+            stall_rate: 0.02,
+            ..FaultConfig::off()
+        };
+        let mut reference = MemorySystem::with_faults(DramConfig::default(), faults);
+        for i in 0..600 {
+            reference.enqueue(mixed_request(i));
+        }
+        assert!(
+            reference.outcomes.iter().all(|o| o.stats.reads > 0),
+            "early drains are in flight on every channel"
+        );
+        let state = reference.snapshot();
+        let json = serde_json::to_string(&state).expect("serialize");
+        let back: SystemState = serde_json::from_str(&json).expect("deserialize");
+        let mut resumed = MemorySystem::from_state(&back).expect("valid state");
+        for i in 600..1200 {
+            reference.enqueue(mixed_request(i));
+            resumed.enqueue(mixed_request(i));
+        }
+        let a = reference.try_service_all().expect("recoverable faults");
+        let b = resumed.try_service_all().expect("recoverable faults");
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(all_done(&reference), all_done(&resumed));
+        assert_eq!(reference.audit_report(true), resumed.audit_report(true));
     }
 
     #[test]
@@ -2092,28 +2258,6 @@ mod tests {
             assert!(r.faults.read_retries > 0, "faults must actually retry");
             let report = sys.audit_report(true);
             assert!(report.is_clean(), "{}", report.summary());
-        }
-
-        #[test]
-        fn audit_report_identical_at_every_thread_count() {
-            let run_with = |threads: usize| {
-                crate::parallel::set_threads(threads);
-                let mut sys = MemorySystem::new(DramConfig::default());
-                for i in 0..4096u64 {
-                    if i % 3 == 0 {
-                        sys.enqueue(Request::write(i * 64, 64));
-                    } else {
-                        sys.enqueue(Request::read(i * 64, 64));
-                    }
-                }
-                sys.service_all();
-                crate::parallel::set_threads(0);
-                sys.audit_report(true)
-            };
-            let serial = run_with(1);
-            let threaded = run_with(4);
-            assert!(serial.is_clean(), "{}", serial.summary());
-            assert_eq!(serial, threaded);
         }
 
         #[test]
@@ -2251,8 +2395,8 @@ mod tests {
             let mut sys = MemorySystem::new(single_channel());
             sys.audit_perturb(Perturbation::EarlyPrecharge);
             sys.enqueue(Request::read(0, 64));
-            let r = sys.service_all();
-            assert_eq!(r.completions[0].finish, 36);
+            sys.service_all();
+            assert_eq!(done(&sys, 0).finish, 36);
             assert!(sys.audit_report(true).is_clean());
         }
     }

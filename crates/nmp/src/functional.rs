@@ -7,7 +7,12 @@
 //! checked bit-close against the software reference engines.
 //!
 //! Timing model: rank-local aggregation traffic is scheduled by the
-//! command-level [`dramsim`] simulator; host/bus payloads, CarPU
+//! command-level [`dramsim`] simulator. DRAM service is not deferred
+//! to [`ResumableRun::finish`]: each channel drains through its FR-FCFS
+//! window as the walks enqueue requests, and `finish` only services the
+//! last partial windows and folds the totals (see the `dramsim` system
+//! docs for why this is exact, and for the stalled-rank exception).
+//! Host/bus payloads, CarPU
 //! generation, and PE compute are tracked as per-resource cycle
 //! budgets. The phases are fully pipelined in the design (Figure 11),
 //! so total time is the maximum over resources — the standard bound for
@@ -918,7 +923,8 @@ impl ResumableRun {
     }
 
     /// Completes the run: semantic (inter-path) aggregation, CarPU
-    /// stall injection, DRAM service, and timing/energy composition.
+    /// stall injection, the final DRAM service barrier, and
+    /// timing/energy composition.
     ///
     /// # Errors
     ///
@@ -936,8 +942,9 @@ impl ResumableRun {
     /// Like [`finish`](Self::finish), but a failure also returns the
     /// fault tallies accumulated up to the abort.
     ///
-    /// The DRAM service — where injected faults, ECC corrections,
-    /// retries, and the fatal watchdog/ECC trip itself are tallied —
+    /// The DRAM service barrier — where injected faults, ECC
+    /// corrections, retries, and the fatal watchdog/ECC trip itself are
+    /// tallied, and where a fault raised while stepping is reported —
     /// runs inside completion, after the run has been consumed. A
     /// driver that degrades to an analytic estimate on a fatal fault
     /// uses this variant so the recovery record survives the abort.

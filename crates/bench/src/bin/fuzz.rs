@@ -23,8 +23,9 @@
 //! 7. **frame** — remote-worker wire frames through
 //!    [`sweepd::wire::parse_frame`] and the handshake parsers
 //!    [`sweepd::wire::parse_hello`] / [`sweepd::wire::parse_reply`]
-//!    (oversized frames, over-cap tokens and worker names, invalid
-//!    UTF-8, mangled handshake envelopes).
+//!    (oversized frames, over-cap tokens and worker names, non-integer
+//!    or out-of-range pids, invalid UTF-8, mangled handshake
+//!    envelopes); a valid hello must round-trip field for field.
 //!
 //! Each iteration takes a known-valid input, applies one randomly
 //! chosen structural mutation (bit flip, field overwrite with extreme
@@ -168,6 +169,9 @@ enum Outcome {
     /// The identity mutation failed to load — the loader broke on
     /// known-good input, which is as fatal as a panic.
     RejectedValid(String),
+    /// A field-targeted input the loader must refuse was accepted (or
+    /// refused for the wrong reason).
+    AcceptedInvalid(String),
 }
 
 /// One fuzz iteration against scratch dir + rng, returning the
@@ -519,23 +523,26 @@ fn scenario_boundary() -> Boundary {
 ///
 /// Half the iterations are field-targeted at the codec's explicit
 /// limits: a frame past [`MAX_FRAME`] with no terminator, a hello
-/// token past [`MAX_TOKEN`], a worker name past [`MAX_WORKER_NAME`],
-/// and invalid UTF-8 inside an otherwise well-framed line. Every
-/// outcome must be a structured `WireError` or a clean `Incomplete` —
-/// never a panic.
+/// token past [`MAX_TOKEN`], a worker name past [`MAX_WORKER_NAME`], a
+/// `pid` that is not an integer or does not fit a `u32`, and invalid
+/// UTF-8 inside an otherwise well-framed line. Every outcome must be a
+/// structured `WireError` or a clean `Incomplete` — never a panic; a bad
+/// `pid` must be refused naming the field, and the unmutated hello must
+/// parse back to exactly the [`wire::Hello`] it was rendered from.
 fn frame_boundary() -> Boundary {
     use sweepd::wire::{self, MAX_FRAME, MAX_TOKEN, MAX_WORKER_NAME, PROTO_VERSION};
 
-    let hello = |token: String, worker: String| {
-        wire::render_hello(&wire::Hello {
-            proto: PROTO_VERSION,
-            fingerprint: wire::fingerprint(&["faults"]),
-            token,
-            worker,
-        })
-        .into_bytes()
+    let hello_of = |token: &str, worker: &str| wire::Hello {
+        proto: PROTO_VERSION,
+        fingerprint: wire::fingerprint(&["faults"]),
+        token: token.into(),
+        worker: worker.into(),
+        pid: 4242,
     };
-    let valid_hello = hello("s42".into(), "w-tcp-4242".into());
+    let hello =
+        move |token: &str, worker: &str| wire::render_hello(&hello_of(token, worker)).into_bytes();
+    let parsed_hello = hello_of("s42", "w-tcp-4242");
+    let valid_hello = hello("s42", "w-tcp-4242");
     let valid_welcome = wire::render_welcome("s42", 3, Some("cell/a")).into_bytes();
     let valid_reject = wire::render_reject("config fingerprint mismatch").into_bytes();
     Boundary {
@@ -544,16 +551,17 @@ fn frame_boundary() -> Boundary {
         run: Box::new(move |_dir, rng| {
             // `which` selects both the seed input and the parser the
             // surviving line is fed to (hello vs reply).
-            let which = rng.below(3);
+            let mut which = rng.below(3);
             let mut bytes = match which {
                 0 => valid_hello.clone(),
                 1 => valid_welcome.clone(),
                 _ => valid_reject.clone(),
             };
+            let mut bad_pid = false;
             let identity = if rng.below(2) == 0 {
                 mutate(rng, &mut bytes)
             } else {
-                match rng.below(4) {
+                match rng.below(5) {
                     0 => {
                         // Frame body past the cap, terminator never seen.
                         bytes = vec![b'a'; MAX_FRAME + 1 + rng.below(4096) as usize];
@@ -561,12 +569,29 @@ fn frame_boundary() -> Boundary {
                     1 => {
                         // Session token past the handshake cap.
                         let long = "t".repeat(MAX_TOKEN + 1 + rng.below(64) as usize);
-                        bytes = hello(long, "w".into());
+                        bytes = hello(&long, "w");
                     }
                     2 => {
                         // Worker name past the handshake cap.
                         let long = "w".repeat(MAX_WORKER_NAME + 1 + rng.below(64) as usize);
-                        bytes = hello("s42".into(), long);
+                        bytes = hello("s42", &long);
+                    }
+                    3 => {
+                        // A pid that is no u32: wrong type, negative,
+                        // fractional, or past the range.
+                        let pid = match rng.below(5) {
+                            0 => "\"4242\"".to_string(),
+                            1 => format!("-{}", 1 + rng.below(1 << 31)),
+                            2 => "42.5".to_string(),
+                            3 => "null".to_string(),
+                            _ => (u64::from(u32::MAX) + 1 + rng.below(1 << 40)).to_string(),
+                        };
+                        let text = String::from_utf8(hello("s42", "w")).expect("rendered utf-8");
+                        bytes = text
+                            .replace("\"pid\":4242", &format!("\"pid\":{pid}"))
+                            .into_bytes();
+                        which = 0;
+                        bad_pid = true;
                     }
                     _ => {
                         // Invalid UTF-8 inside the framed line.
@@ -581,16 +606,26 @@ fn frame_boundary() -> Boundary {
                     Err(e) => Err(e.to_string()),
                     Ok(wire::FrameStatus::Incomplete) => Err("incomplete frame".into()),
                     Ok(wire::FrameStatus::Complete { line, .. }) => match which {
-                        0 => wire::parse_hello(line)
-                            .map(|_| ())
-                            .map_err(|e| e.to_string()),
+                        0 => match wire::parse_hello(line) {
+                            Ok(h) if identity && h != parsed_hello => {
+                                Err(format!("round trip changed the hello: {h:?}"))
+                            }
+                            Ok(_) => Ok(()),
+                            Err(e) => Err(e.to_string()),
+                        },
                         _ => wire::parse_reply(line)
                             .map(|_| ())
                             .map_err(|e| e.to_string()),
                     },
                 }
             }));
-            outcome_of(identity, result)
+            match result {
+                Ok(Ok(())) if bad_pid => Outcome::AcceptedInvalid("hello with a bad pid".into()),
+                Ok(Err(e)) if bad_pid && !e.contains("\"pid\"") => {
+                    Outcome::AcceptedInvalid(format!("bad pid refused for another reason: {e}"))
+                }
+                result => outcome_of(identity, result),
+            }
         }),
     }
 }
@@ -734,6 +769,15 @@ fn main() -> ExitCode {
                 Outcome::RejectedValid(e) => {
                     eprintln!(
                         "fuzz: loader rejected KNOWN-GOOD input: boundary={} iter={iter} \
+                         seed={}: {e}",
+                        b.name, opts.seed
+                    );
+                    failed = true;
+                    break 'outer;
+                }
+                Outcome::AcceptedInvalid(e) => {
+                    eprintln!(
+                        "fuzz: loader accepted KNOWN-BAD input: boundary={} iter={iter} \
                          seed={}: {e}",
                         b.name, opts.seed
                     );

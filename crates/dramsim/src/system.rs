@@ -803,15 +803,10 @@ impl ChannelWorker<'_> {
     /// Services bursts until at most `keep` remain queued. A channel
     /// holding a deferred fault does not drain.
     fn drain(mut self, keep: usize) {
-        if self.out.error.is_some() {
-            return;
-        }
-        if self.injector.is_some() {
-            if let Err(e) = self.service_faulty(keep) {
+        if self.out.error.is_none() {
+            if let Err(e) = self.service(keep) {
                 self.out.error = Some(e);
             }
-        } else {
-            self.service_clean(keep);
         }
     }
 
@@ -846,35 +841,29 @@ impl ChannelWorker<'_> {
         self.out.stats.elapsed_cycles = self.out.stats.elapsed_cycles.max(finish);
     }
 
-    fn service_clean(&mut self, keep: usize) {
+    /// The FR-FCFS service loop. With an injector attached, every burst
+    /// runs through the transient/persistent fault pipeline after issue,
+    /// and a watchdog bounds no-progress rounds once only stalled-rank
+    /// bursts remain; without one, both are no-ops.
+    fn service(&mut self, keep: usize) -> Result<(), FaultError> {
+        let cfg = self.injector.as_deref().map(|inj| *inj.config());
+        let mut watchdog = Watchdog::new(cfg.map_or(0, |c| c.watchdog_limit));
         while self.state.queue.len() > keep {
             self.out
                 .queue_depth_hist
                 .record(self.state.queue.len() as u64);
             let pick = self.pick_fr_fcfs();
-            let burst = self.state.queue.remove(pick).expect("pick is in range");
-            let (data_start, finish) = self.issue_burst(&burst, burst.loc);
-            self.record_serviced(burst.id, data_start, finish);
-        }
-    }
-
-    /// The fault-aware service loop: every burst runs through the
-    /// transient/persistent fault pipeline after issue, and a watchdog
-    /// bounds no-progress rounds once only stalled-rank bursts remain.
-    fn service_faulty(&mut self, keep: usize) -> Result<(), FaultError> {
-        let cfg = *self.injector_ref().config();
-        let mut watchdog = Watchdog::new(cfg.watchdog_limit);
-        while self.state.queue.len() > keep {
-            self.out
-                .queue_depth_hist
-                .record(self.state.queue.len() as u64);
-            let pick = self.pick_fr_fcfs();
-            let burst = self.state.queue[pick];
+            let burst = &self.state.queue[pick];
             let loc = burst.loc;
             let bus_only = matches!(burst.locality, Locality::Broadcast | Locality::DirectSend);
             let global_rank = self.global_rank(&loc);
 
-            if !bus_only && self.injector_ref().rank_is_stalled(global_rank) {
+            if !bus_only
+                && self
+                    .injector
+                    .as_deref()
+                    .is_some_and(|inj| inj.rank_is_stalled(global_rank))
+            {
                 // A permanently stalled rank never retires its bursts:
                 // rotate to the back of the queue and count a
                 // no-progress round. Without the watchdog this loop
@@ -900,9 +889,11 @@ impl ChannelWorker<'_> {
 
             let b = self.state.queue.remove(pick).expect("pick in range");
             let (data_start, finish) = self.issue_burst(&b, loc);
-            let extra = self.apply_burst_faults(&b, &loc, global_rank, &cfg)?;
-            let finish = finish + extra;
-            self.record_serviced(b.id, data_start, finish);
+            let extra = match &cfg {
+                Some(cfg) => self.apply_burst_faults(&b, &loc, global_rank, cfg)?,
+                None => 0,
+            };
+            self.record_serviced(b.id, data_start, finish + extra);
             watchdog.progress();
         }
         Ok(())

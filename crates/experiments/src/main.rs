@@ -33,13 +33,12 @@
 //!                         cell over budget is cancelled cooperatively
 //!                         and journaled as a failed attempt instead of
 //!                         wedging the --jobs pool (default unbounded)
-//!   --worker              run as a supervised `sweepd` worker speaking
-//!                         the stdin/stdout JSONL cell protocol
-//!   --connect <addr>      run as a *remote* sweepd worker: dial the
-//!                         coordinator's --worker-listen port, register
-//!                         over the versioned handshake, and compute
-//!                         leased cells over TCP (no --sweep-dir needed;
-//!                         run commands carry the sweep coordinates)
+//!   --connect <addr>      run as a sweepd worker: dial the coordinator's
+//!                         worker listener, register over the versioned
+//!                         handshake, and compute leased cells over TCP
+//!                         (no --sweep-dir needed; run commands carry the
+//!                         sweep coordinates). sweepd starts its local
+//!                         workers this way too
 //!   --grid <exp>          print the experiment's cell grid as JSON and
 //!                         exit (the coordinator's shard list)
 //!   --heartbeat-ms <n>    worker liveness heartbeat period (default 100)
@@ -111,8 +110,7 @@ fn usage() {
     eprintln!("  --resume <dir>        resume a journaled sweep from <dir>");
     eprintln!("  --ckpt-interval <n>   in-run checkpoint granularity (default 256)");
     eprintln!("  --cell-timeout <s>    per-cell wall-clock budget in seconds (default unbounded)");
-    eprintln!("  --worker              run as a supervised sweepd worker (stdin/stdout JSONL)");
-    eprintln!("  --connect <addr>      run as a remote sweepd worker over TCP");
+    eprintln!("  --connect <addr>      run as a sweepd worker over TCP");
     eprintln!("  --grid <exp>          print the experiment's cell grid as JSON and exit");
     eprintln!("  --heartbeat-ms <n>    worker liveness heartbeat period (default 100)");
 }
@@ -134,7 +132,6 @@ fn main() -> ExitCode {
     let mut resume = false;
     let mut ckpt_interval: u64 = 256;
     let mut cell_timeout: Option<std::time::Duration> = None;
-    let mut worker_mode = false;
     let mut connect: Option<String> = None;
     let mut grid_exp: Option<String> = None;
     let mut heartbeat_ms: u64 = 100;
@@ -143,7 +140,6 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--deterministic-metrics" => deterministic_metrics = true,
-            "--worker" => worker_mode = true,
             "--metrics-out" | "--trace-out" | "--sweep-dir" | "--resume" | "--connect" => {
                 let Some(path) = it.next() else {
                     eprintln!("{arg} requires an argument");
@@ -210,7 +206,7 @@ fn main() -> ExitCode {
             _ => experiments.push(arg),
         }
     }
-    if !worker_mode && connect.is_none() && grid_exp.is_none() && experiments.is_empty() {
+    if connect.is_none() && grid_exp.is_none() && experiments.is_empty() {
         usage();
         return ExitCode::from(2);
     }
@@ -260,31 +256,15 @@ fn main() -> ExitCode {
         };
     }
 
-    // Supervised worker mode: speak the sweepd cell protocol until
-    // stdin EOF or an exit command; a drain mid-cell exits 3.
-    if worker_mode {
-        if cx.sweep.is_none() {
-            eprintln!("--worker requires --sweep-dir <dir>");
-            return ExitCode::from(2);
-        }
-        return match worker::run_worker(&cx, heartbeat_ms) {
+    // Worker mode: dial the coordinator's worker listener and compute
+    // leased cells over TCP. No --sweep-dir needed — run commands carry
+    // the sweep coordinates.
+    if let Some(addr) = &connect {
+        sweep::install_signal_handlers();
+        return match worker::run_connected_worker(&cx, addr, heartbeat_ms) {
             Ok(code) => ExitCode::from(code),
             Err(e) => {
                 eprintln!("worker failed: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // Remote worker mode: dial the coordinator's worker port and
-    // compute leased cells over TCP. No --sweep-dir needed — run
-    // commands carry the sweep coordinates.
-    if let Some(addr) = &connect {
-        sweep::install_signal_handlers();
-        return match worker::run_remote_worker(&cx, addr, heartbeat_ms) {
-            Ok(code) => ExitCode::from(code),
-            Err(e) => {
-                eprintln!("remote worker failed: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -305,42 +285,19 @@ fn main() -> ExitCode {
             }
         })
     };
-    let mut ran = std::collections::BTreeSet::new();
-    for arg in &experiments {
-        if arg == "all" {
-            for (name, f) in EXPERIMENTS {
-                // `audit` only works under --features audit and exists
-                // to gate CI, not to regenerate paper artifacts; run it
-                // by name.
-                if *name == "audit" {
-                    continue;
-                }
-                if ran.insert(*name) {
-                    if let Err(code) = run(name, *f) {
-                        return code;
-                    }
-                }
-            }
-            continue;
+    let plan = match plan(&experiments) {
+        Ok(plan) => plan,
+        Err(unknown) => {
+            eprintln!(
+                "unknown experiment {unknown:?}; known: all {}",
+                names().join(" ")
+            );
+            return ExitCode::from(2);
         }
-        match EXPERIMENTS.iter().find(|(n, _)| n == arg) {
-            Some((name, f)) => {
-                // fig12 and fig13 share one computation; avoid
-                // running it twice when both are requested.
-                let key = if *name == "fig13" { "fig12" } else { name };
-                if ran.insert(key) {
-                    if let Err(code) = run(name, *f) {
-                        return code;
-                    }
-                }
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment {arg:?}; known: all {}",
-                    names().join(" ")
-                );
-                return ExitCode::from(2);
-            }
+    };
+    for (name, f) in plan {
+        if let Err(code) = run(name, f) {
+            return code;
         }
     }
 
@@ -396,10 +353,74 @@ fn phase_summary() {
     }
 }
 
+/// Expands `all` and drops repeats: the experiments to run, in order.
+/// `fig12` and `fig13` share one computation, so whichever comes first
+/// stands for both. `audit` only works under `--features audit` and
+/// exists to gate CI, not to regenerate paper artifacts, so `all` skips
+/// it; run it by name.
+///
+/// # Errors
+///
+/// Returns the first argument that names no experiment.
+fn plan(args: &[String]) -> Result<Vec<(&'static str, ExpFn)>, String> {
+    let mut ran = std::collections::BTreeSet::new();
+    let mut plan = Vec::new();
+    for arg in args {
+        let chosen: Vec<&(&'static str, ExpFn)> = if arg == "all" {
+            EXPERIMENTS.iter().filter(|(n, _)| *n != "audit").collect()
+        } else {
+            match EXPERIMENTS.iter().find(|(n, _)| n == arg) {
+                Some(e) => vec![e],
+                None => return Err(arg.clone()),
+            }
+        };
+        for &(name, f) in chosen {
+            let key = if name == "fig13" { "fig12" } else { name };
+            if ran.insert(key) {
+                plan.push((name, f));
+            }
+        }
+    }
+    Ok(plan)
+}
+
 fn names() -> Vec<&'static str> {
     EXPERIMENTS.iter().map(|(n, _)| *n).collect()
 }
 
 fn banner(name: &str) {
     println!("\n=== {name} ===");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::plan;
+
+    fn names(args: &[&str]) -> Vec<&'static str> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        plan(&args)
+            .expect("known experiments")
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect()
+    }
+
+    #[test]
+    fn all_runs_the_fig12_13_computation_once() {
+        let all = names(&["all"]);
+        let shared = all.iter().filter(|n| ["fig12", "fig13"].contains(n));
+        assert_eq!(shared.count(), 1, "{all:?}");
+        assert!(!all.contains(&"audit"), "{all:?}");
+        assert_eq!(names(&["fig13", "all", "fig12"]), {
+            let mut v = vec!["fig13"];
+            v.extend(all.iter().filter(|n| **n != "fig12"));
+            v
+        });
+    }
+
+    #[test]
+    fn unknown_names_are_reported() {
+        let args = vec!["fig3".to_string(), "fig99".to_string()];
+        assert_eq!(plan(&args).err().as_deref(), Some("fig99"));
+    }
 }

@@ -8,7 +8,9 @@
 //!                                metanmp-experiments binary); repeatable
 //!                                to pass leading arguments
 //!   --listen <addr>              bind address (default 127.0.0.1:7377)
-//!   --workers <n>                worker slots (default 2)
+//!   --workers <n>                local worker slots: children the daemon
+//!                                spawns, which dial back over loopback
+//!                                (default 2)
 //!   --state-dir <dir>            per-sweep state root (default ./sweepd-state)
 //!   --heartbeat-ms <n>           worker heartbeat period (default 100)
 //!   --heartbeat-deadline-ms <n>  liveness deadline (default 2000)
@@ -22,20 +24,27 @@
 //!   --backoff-seed <u64>         jitter seed for worker respawn backoff
 //!   --drain-grace-ms <n>         SIGTERM→SIGKILL escalation window for
 //!                                draining workers (default 10000)
-//!   --worker-listen <addr>       also accept remote workers over TCP on
-//!                                this address (off by default)
+//!   --worker-listen <addr>       worker listener address; remote workers
+//!                                dial it too. Defaults to an ephemeral
+//!                                loopback port when local slots exist,
+//!                                off otherwise
 //!   --netem <file>               CHS1 scenario whose net* directives
 //!                                script deterministic network faults on
-//!                                remote worker links
+//!                                worker links
 //! ```
 //!
 //! Exit codes follow the repo contract: 0 = drained with all sweeps
 //! finished, 3 = drained with resumable work remaining (rerun workers
 //! against the surviving state directories), 2 = usage, 1 = failure.
 //!
-//! SIGINT/SIGTERM begin a graceful drain: leasing stops, workers are
-//! SIGTERMed so in-flight cells persist their checkpoints, and the
-//! daemon exits once the fleet is reaped.
+//! Every worker, spawned or remote, speaks the same framed TCP protocol
+//! to the worker listener, whose bound address is logged as
+//! `sweepd: workers on <addr>`.
+//!
+//! SIGINT/SIGTERM begin a graceful drain: leasing stops, spawned
+//! children are SIGTERMed and remote workers told to exit, so in-flight
+//! cells persist their checkpoints, and the daemon exits once the fleet
+//! is reaped.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,7 +78,7 @@ fn install_signal_handlers() {}
 fn usage() {
     eprintln!("usage: sweepd --worker-cmd <path> [OPTIONS]");
     eprintln!("  --listen <addr>              bind address (default 127.0.0.1:7377)");
-    eprintln!("  --workers <n>                worker slots (default 2)");
+    eprintln!("  --workers <n>                local worker slots (default 2)");
     eprintln!("  --state-dir <dir>            state root (default ./sweepd-state)");
     eprintln!("  --heartbeat-ms <n>           worker heartbeat period (default 100)");
     eprintln!("  --heartbeat-deadline-ms <n>  liveness deadline (default 2000)");
@@ -79,8 +88,9 @@ fn usage() {
     eprintln!("  --ckpt-interval <n>          checkpoint granularity (default 256)");
     eprintln!("  --backoff-seed <u64>         respawn backoff jitter seed");
     eprintln!("  --drain-grace-ms <n>         drain escalation window (default 10000)");
-    eprintln!("  --worker-listen <addr>       accept remote TCP workers on this address");
-    eprintln!("  --netem <file>               CHS1 net* scenario for remote-link faults");
+    eprintln!("  --worker-listen <addr>       worker listener (default: ephemeral loopback");
+    eprintln!("                               port when local slots exist, else off)");
+    eprintln!("  --netem <file>               CHS1 net* scenario for worker-link faults");
 }
 
 fn main() -> ExitCode {
@@ -184,6 +194,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    // Spawned children dial back to the worker listener, so local slots
+    // need one even when no remote worker is expected.
+    if cfg.workers > 0 && worker_listen.is_none() {
+        worker_listen = Some("127.0.0.1:0".to_string());
+    }
     install_signal_handlers();
     let daemon = Daemon::new(cfg);
 

@@ -4,16 +4,22 @@
 //! # Supervision model
 //!
 //! The daemon owns a fleet of worker *slots*. A slot holds at most one
-//! live worker link — either an `experiments` child running in
-//! `--worker` mode (spawned locally, spoken to over stdin/stdout
-//! pipes), or a *remote* worker that dialed the daemon's worker port
-//! and completed the [`crate::wire`] registration handshake (spoken to
-//! over a framed TCP stream). Local slots are fixed at startup; remote
-//! slots are appended as workers register and are never respawned by
-//! the daemon — a remote worker that dies simply redials. Each link's
-//! read side is drained by a dedicated reader thread that timestamps
-//! every delivered line (heartbeats included) and forwards protocol
-//! events to the supervisor over a channel.
+//! live worker, and every worker speaks the same [`crate::wire`]
+//! protocol over a framed TCP link. Local slots are fixed at startup:
+//! the daemon spawns `metanmp-experiments --connect <loopback worker
+//! addr>` into each, and the child dials back and registers like any
+//! other worker. Its hello carries its pid, which pairs the connection
+//! with the slot that spawned it; until that hello arrives the child is
+//! *starting* and takes no lease, and its heartbeat deadline already
+//! runs, so a child that never dials in dies by the ordinary deadline
+//! and respawns under backoff. Remote slots are appended as workers
+//! register on their own and are never respawned by the daemon — a
+//! remote worker that dies simply redials. The only difference between
+//! the two is the child handle: reaping, SIGTERM (cell cancel and
+//! drain) and kill act on it. Each link's read side is drained by a
+//! dedicated reader thread that timestamps every delivered frame
+//! (heartbeats included) and forwards protocol events to the supervisor
+//! over a channel.
 //!
 //! The supervision tick, run every few tens of milliseconds:
 //!
@@ -45,19 +51,18 @@
 //! resume (see `checkpoint::manifest`), so fencing holds even across a
 //! daemon restart.
 //!
-//! # Remote liveness and reconnection
+//! # Liveness and reconnection
 //!
-//! Remote links share the heartbeat deadline with local workers: the
-//! reader thread timestamps each *delivered* frame, so a network
+//! The reader thread timestamps each *delivered* frame, so a network
 //! partition (or a scripted [`faultsim::Netem`] partition window)
 //! starves the timestamp exactly like a hung process and triggers the
-//! same crash-migration path. A remote worker that lost its connection
-//! redials with its session token: if its slot is still live, the link
-//! is re-attached in place (a new generation invalidates the stale
-//! reader) and the welcome names any still-held lease so the worker
-//! can re-send a completion that was lost in flight; if the slot was
-//! already reaped, the worker observes a fresh registration (empty
-//! resume) and knows its old lease migrated.
+//! same crash-migration path. A worker that lost its connection redials
+//! with its session token: if its slot is still live, the link is
+//! re-attached in place (a new generation invalidates the stale reader)
+//! and the welcome names any still-held lease so the worker can re-send
+//! a completion that was lost in flight; if the slot was already
+//! reaped, the worker observes a fresh registration (empty resume) and
+//! knows its old lease migrated.
 //!
 //! The journal under each sweep's directory is the single source of
 //! truth: `faults.manifest.jsonl` with the exact header the in-process
@@ -65,10 +70,10 @@
 //! replays a daemon-run sweep into byte-identical `results/` artifacts.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::io::{Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -83,8 +88,8 @@ use serde::{Deserialize, Serialize};
 use crate::manifest::SweepManifest;
 use crate::wire;
 
-/// Worker-identity prefix used in lease records and status views for
-/// locally spawned workers (remote workers name themselves in their
+/// Worker identity used in lease records and status views for
+/// daemon-spawned workers (remote workers name themselves in their
 /// registration hello).
 fn worker_name(slot: usize) -> String {
     format!("w-{slot}")
@@ -96,8 +101,9 @@ pub struct DaemonConfig {
     /// Worker command prefix (the experiments binary, or a stand-in
     /// under test); mode flags are appended per invocation.
     pub worker_cmd: Vec<String>,
-    /// Local worker slots in the fleet. Zero is allowed: a daemon can
-    /// run entirely on remote workers attached over TCP.
+    /// Local worker slots in the fleet: children the daemon spawns,
+    /// which dial back to the worker listener. Zero is allowed: a
+    /// daemon can run entirely on remote workers attached over TCP.
     pub workers: usize,
     /// Root directory for per-sweep state (`<state_dir>/sweep-<id>/`).
     pub state_dir: PathBuf,
@@ -122,9 +128,10 @@ pub struct DaemonConfig {
     /// How long a drain waits for workers to persist and exit before
     /// escalating to SIGKILL.
     pub drain_grace: Duration,
-    /// Scripted network-fault schedule applied to remote worker links
-    /// (`net*` directives; an empty scenario is a byte-exact no-op).
-    /// Streams are numbered in registration order, starting at 0.
+    /// Scripted network-fault schedule applied to worker links (`net*`
+    /// directives; an empty scenario is a byte-exact no-op). Streams
+    /// are numbered in registration order, starting at 0, counting
+    /// local children and remote workers alike.
     pub netem: Scenario,
 }
 
@@ -253,13 +260,10 @@ impl Sweep {
     }
 }
 
-/// Events parsed off a worker's output by its reader thread. `gen` is
-/// the fence generation echoed from the run command; events from
-/// workers predating the fencing protocol carry `None` and fall back
-/// to the slot-generation guard alone.
+/// Events parsed off a worker's link by its reader thread. `gen` is
+/// the fence generation echoed from the run command.
 #[derive(Debug)]
 enum WorkerEvent {
-    Ready,
     Done {
         key: String,
         result: String,
@@ -281,9 +285,6 @@ fn parse_event(line: &str) -> Option<WorkerEvent> {
     let get_str = |k: &str| v.get(k).and_then(Value::as_str).map(str::to_string);
     let gen = v.get("gen").and_then(Value::as_u64);
     match v.get("ev").and_then(Value::as_str)? {
-        // The spawned child's pid is already known from `Child::id`;
-        // the ready line only proves the protocol came up.
-        "ready" => Some(WorkerEvent::Ready),
         "done" => Some(WorkerEvent::Done {
             key: get_str("key")?,
             result: get_str("result")?,
@@ -298,7 +299,7 @@ fn parse_event(line: &str) -> Option<WorkerEvent> {
             key: get_str("key")?,
         }),
         // Heartbeats carry no payload the supervisor needs: the reader
-        // thread already timestamped the line.
+        // thread already timestamped the frame.
         _ => None,
     }
 }
@@ -312,156 +313,136 @@ struct LeaseInfo {
     gen: u64,
 }
 
-/// The write side of a worker: a local child process or a remote TCP
-/// link.
-enum Link {
-    /// Locally spawned `--worker` child over stdin/stdout pipes.
-    Child {
-        child: Child,
-        pid: u32,
-        stdin: ChildStdin,
-    },
-    /// Remote worker attached via the registration handshake.
-    Remote {
-        writer: TcpStream,
-        /// Session token the worker redials with.
-        session: String,
-        /// Worker-chosen identity from the hello (lease records).
-        name: String,
-        /// Netem stream id (registration order), kept across resumes.
-        stream: u64,
-        /// Coordinator-side egress fault injector, when active.
-        netem: Option<Netem>,
-    },
+/// A registered worker's TCP connection, coordinator side.
+struct TcpLink {
+    writer: TcpStream,
+    /// Session token the worker redials with.
+    session: String,
+    /// Netem stream id (registration order), kept across resumes.
+    stream: u64,
+    /// Coordinator-side egress fault injector, when active.
+    netem: Option<Netem>,
 }
 
 struct Proc {
-    link: Link,
-    /// Updated by the reader thread on every delivered line.
+    /// The process handle of a daemon-spawned worker; `None` for a
+    /// worker that dialed in on its own.
+    child: Option<Child>,
+    /// The registered link; `None` while a spawned child has not said
+    /// hello yet (it is *starting*, and takes no lease).
+    link: Option<TcpLink>,
+    /// Identity in lease records and `/healthz`: `w-<slot>` for a
+    /// spawned child, the hello's self-reported name otherwise.
+    name: String,
+    /// Updated by the reader thread on every delivered frame; set at
+    /// spawn, so the heartbeat deadline also bounds a child's dial-in.
     last_line: Arc<Mutex<Instant>>,
     /// Generation guard: events from a previous incarnation of this
-    /// slot (or a superseded remote connection) are ignored.
+    /// slot (or a superseded connection) are ignored.
     gen: u64,
-    /// Sweep the worker is currently bound to (0 = none yet).
-    bound_sweep: u64,
     lease: Option<LeaseInfo>,
     drain_signaled: bool,
 }
 
 impl Proc {
-    fn is_remote(&self) -> bool {
-        matches!(self.link, Link::Remote { .. })
-    }
-
     fn pid(&self) -> u32 {
-        match &self.link {
-            Link::Child { pid, .. } => *pid,
-            Link::Remote { .. } => 0,
-        }
+        self.child.as_ref().map_or(0, Child::id)
     }
 
     fn session(&self) -> Option<&str> {
-        match &self.link {
-            Link::Child { .. } => None,
-            Link::Remote { session, .. } => Some(session),
-        }
+        self.link.as_ref().map(|l| l.session.as_str())
     }
 
-    fn display_name(&self, idx: usize) -> String {
-        match &self.link {
-            Link::Child { .. } => worker_name(idx),
-            Link::Remote { name, .. } => name.clone(),
-        }
+    /// Registered and not holding a lease.
+    fn idle(&self) -> bool {
+        self.link.is_some() && self.lease.is_none()
     }
 
-    /// Sends one protocol line. Remote frames pass through the egress
-    /// fault injector, so a scripted drop silently loses the command —
+    /// Sends one protocol line. Frames pass through the egress fault
+    /// injector, so a scripted drop silently loses the command —
     /// exactly the failure the lease timeouts exist to absorb.
     fn send_line(&mut self, line: &str) -> std::io::Result<()> {
-        match &mut self.link {
-            Link::Child { stdin, .. } => writeln!(stdin, "{line}").and_then(|()| stdin.flush()),
-            Link::Remote { writer, netem, .. } => {
-                let frames = match netem.as_mut() {
-                    Some(n) => n.apply(line.as_bytes().to_vec()),
-                    None => vec![line.as_bytes().to_vec()],
-                };
-                for f in frames {
-                    writer.write_all(&f)?;
-                    writer.write_all(b"\n")?;
-                }
-                writer.flush()
-            }
+        let Some(TcpLink { writer, netem, .. }) = self.link.as_mut() else {
+            return Err(std::io::ErrorKind::NotConnected.into());
+        };
+        let frames = match netem.as_mut() {
+            Some(n) => n.apply(line.as_bytes().to_vec()),
+            None => vec![line.as_bytes().to_vec()],
+        };
+        for f in frames {
+            writer.write_all(&f)?;
+            writer.write_all(b"\n")?;
         }
+        writer.flush()
     }
 
     /// Releases egress frames whose scripted delay has elapsed (quiet
     /// links would otherwise hold them forever).
     fn pump_egress(&mut self) {
-        if let Link::Remote { writer, netem, .. } = &mut self.link {
-            if let Some(n) = netem.as_mut() {
-                for f in n.tick() {
-                    if writer
-                        .write_all(&f)
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                let _ = writer.flush();
+        let Some(TcpLink {
+            writer,
+            netem: Some(n),
+            ..
+        }) = self.link.as_mut()
+        else {
+            return;
+        };
+        for f in n.tick() {
+            if writer
+                .write_all(&f)
+                .and_then(|()| writer.write_all(b"\n"))
+                .is_err()
+            {
+                return;
             }
         }
+        let _ = writer.flush();
     }
 
-    /// Hard-stops the link: kill + reap a child, shut down a socket.
+    /// Hard-stops the worker: shuts down the socket, kills and reaps a
+    /// spawned child.
     fn terminate(&mut self) {
-        match &mut self.link {
-            Link::Child { child, .. } => {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            Link::Remote { writer, .. } => {
-                let _ = writer.shutdown(Shutdown::Both);
-            }
+        if let Some(link) = &self.link {
+            let _ = link.writer.shutdown(Shutdown::Both);
+        }
+        if let Some(child) = self.child.as_mut() {
+            let _ = child.kill();
+            let _ = child.wait();
         }
     }
 
-    /// Non-blocking exit check (local children only; remote workers
-    /// are reaped via heartbeat expiry or EOF).
+    /// Non-blocking exit check of a spawned child (a dialed-in worker
+    /// is reaped via heartbeat expiry or EOF).
     fn try_reap(&mut self) -> Option<ExitStatus> {
-        match &mut self.link {
-            Link::Child { child, .. } => child.try_wait().ok().flatten(),
-            Link::Remote { .. } => None,
-        }
+        self.child.as_mut()?.try_wait().ok().flatten()
     }
 
-    /// Best-effort cooperative cancellation of the in-flight cell.
-    /// Locals get SIGTERM; a remote worker cannot be preempted — its
-    /// eventual stale completion is fenced instead.
+    /// Best-effort cooperative cancellation of the in-flight cell: a
+    /// spawned child gets SIGTERM; a dialed-in worker cannot be
+    /// preempted — its eventual stale completion is fenced instead.
     fn signal_cell_cancel(&mut self) {
-        if let Link::Child { pid, .. } = &self.link {
-            send_sigterm(*pid);
+        if self.child.is_some() {
+            send_sigterm(self.pid());
         }
     }
 
-    /// One-shot drain signal: SIGTERM a child (checkpoint + exit 3),
-    /// send the exit op to a remote worker.
+    /// One-shot drain signal: SIGTERM a spawned child (checkpoint +
+    /// exit 3), send the exit op to a dialed-in worker.
     fn signal_drain(&mut self) {
         if self.drain_signaled {
             return;
         }
         self.drain_signaled = true;
-        match &self.link {
-            Link::Child { pid, .. } => send_sigterm(*pid),
-            Link::Remote { .. } => {
-                let _ = self.send_line("{\"op\":\"exit\"}");
-            }
+        if self.child.is_some() {
+            send_sigterm(self.pid());
+        } else {
+            let _ = self.send_line("{\"op\":\"exit\"}");
         }
     }
 }
 
-/// Whether a slot belongs to the fixed local fleet or was appended by
-/// a remote registration.
+/// Whether a slot belongs to the fixed local fleet (the daemon spawns
+/// its worker) or was appended by a remote registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotKind {
     Local,
@@ -480,6 +461,26 @@ struct Slot {
     next_gen: u64,
 }
 
+impl Slot {
+    /// An empty slot whose respawns jitter with `backoff_seed`.
+    fn vacant(kind: SlotKind, cfg: &DaemonConfig, backoff_seed: u64) -> Self {
+        Slot {
+            kind,
+            proc: None,
+            restarts: 0,
+            deaths: 0,
+            backoff: Backoff::with_jitter(
+                cfg.backoff_base_ms,
+                cfg.backoff_cap_ms,
+                200,
+                backoff_seed,
+            ),
+            respawn_after: Instant::now(),
+            next_gen: 0,
+        }
+    }
+}
+
 struct State {
     sweeps: BTreeMap<u64, Sweep>,
     slots: Vec<Slot>,
@@ -490,6 +491,9 @@ struct State {
     next_session: u64,
     /// Netem stream ids, assigned in registration order.
     next_stream: u64,
+    /// Where spawned children dial in: the loopback form of the worker
+    /// listener's bound address, once it is bound.
+    worker_addr: Option<SocketAddr>,
     /// Daemon-global fence generation; starts at 1 so 0 stays the
     /// journal's "unfenced legacy record" sentinel.
     next_fence: u64,
@@ -563,13 +567,14 @@ pub struct WorkerView {
     pub name: String,
     /// Whether a live process occupies the slot.
     pub alive: bool,
-    /// Live worker's pid (0 when dead or remote).
+    /// Spawned child's pid, also while it is starting (0 when the slot
+    /// is vacant or remote).
     pub pid: u64,
     /// Times this slot respawned (local) or re-attached (remote).
     pub restarts: u64,
     /// Key of the currently leased cell, empty when idle.
     pub lease: String,
-    /// `local` or `remote`.
+    /// `local` (the daemon spawns the slot's worker) or `remote`.
     pub kind: String,
 }
 
@@ -577,22 +582,9 @@ impl Daemon {
     /// Creates a daemon (no workers spawned until work arrives).
     pub fn new(cfg: DaemonConfig) -> Arc<Self> {
         let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
+        let seed = |i: usize| cfg.backoff_seed.wrapping_add(i as u64);
         let slots = (0..cfg.workers)
-            .map(|i| Slot {
-                kind: SlotKind::Local,
-                proc: None,
-                restarts: 0,
-                deaths: 0,
-                backoff: Backoff::with_jitter(
-                    cfg.backoff_base_ms,
-                    cfg.backoff_cap_ms,
-                    200,
-                    cfg.backoff_seed.wrapping_add(i as u64),
-                ),
-                respawn_after: now,
-                next_gen: 0,
-            })
+            .map(|i| Slot::vacant(SlotKind::Local, &cfg, seed(i)))
             .collect();
         Arc::new(Daemon {
             cfg,
@@ -604,6 +596,7 @@ impl Daemon {
                 sessions: BTreeMap::new(),
                 next_session: 1,
                 next_stream: 0,
+                worker_addr: None,
                 next_fence: 1,
             }),
             events_tx: tx,
@@ -760,17 +753,50 @@ impl Daemon {
         }
     }
 
-    /// Registers a remote worker after its hello frame was read.
-    /// Writes the welcome/reject reply itself (handshake frames bypass
-    /// netem by design — the chaos scope is the steady-state stream).
+    /// Records where spawned children dial in: the loopback form of the
+    /// worker listener's bound address (a wildcard bind is reached over
+    /// loopback of the same family).
+    ///
+    /// # Errors
+    ///
+    /// Returns a reason when local slots exist but the listener is
+    /// bound to a specific non-loopback address, which spawned children
+    /// could not pair over.
+    pub(crate) fn set_worker_addr(&self, bound: SocketAddr) -> Result<(), String> {
+        let ip = match bound.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            ip => ip,
+        };
+        if !ip.is_loopback() {
+            if self.cfg.workers == 0 {
+                return Ok(());
+            }
+            return Err(format!(
+                "local worker slots dial back over loopback, but the worker listener \
+                 is bound to {bound}; bind a loopback or wildcard address"
+            ));
+        }
+        self.state.lock().expect("daemon state").worker_addr =
+            Some(SocketAddr::new(ip, bound.port()));
+        Ok(())
+    }
+
+    /// Registers a worker after its hello frame was read from `peer`.
+    /// A first-contact hello from a loopback peer whose pid matches a
+    /// starting spawned child attaches to that child's slot; any other
+    /// fresh hello appends a remote slot. Writes the welcome/reject
+    /// reply itself (handshake frames bypass netem by design — the
+    /// chaos scope is the steady-state stream).
     ///
     /// # Errors
     ///
     /// Returns the rejection reason; the reject frame has already been
     /// written to the socket on a best-effort basis.
-    pub(crate) fn register_remote(
+    pub(crate) fn register(
         &self,
         hello: &wire::Hello,
+        peer: IpAddr,
         mut stream: TcpStream,
         leftover: Vec<u8>,
     ) -> Result<(), String> {
@@ -800,8 +826,8 @@ impl Daemon {
 
         let mut st = self.state.lock().expect("daemon state");
 
-        // Reconnect-with-resume: a known session token whose slot still
-        // holds the remote proc re-attaches the link in place.
+        // Reconnect-with-resume: a known session token whose slot is
+        // still live re-attaches the link in place.
         if !hello.token.is_empty() {
             if let Some(&idx) = st.sessions.get(&hello.token) {
                 let live = st.slots[idx]
@@ -809,7 +835,7 @@ impl Daemon {
                     .as_ref()
                     .is_some_and(|p| p.session() == Some(hello.token.as_str()));
                 if live {
-                    return self.resume_remote(&mut st, idx, hello, stream, leftover);
+                    return self.resume(&mut st, idx, hello, stream, leftover);
                 }
                 // The slot was reaped since: fall through to a fresh
                 // registration so the worker observes the migration.
@@ -817,71 +843,74 @@ impl Daemon {
             }
         }
 
-        // Fresh registration: append a remote slot.
+        let child_slot = if hello.token.is_empty() && peer.is_loopback() {
+            st.slots.iter().position(|s| {
+                s.proc
+                    .as_ref()
+                    .is_some_and(|p| p.link.is_none() && p.pid() == hello.pid)
+            })
+        } else {
+            None
+        };
+        let gen = child_slot
+            .and_then(|idx| st.slots[idx].proc.as_ref())
+            .map_or(0, |p| p.gen);
         let session = format!("s{}", st.next_session);
         st.next_session += 1;
         let stream_id = st.next_stream;
         st.next_stream += 1;
-        let netem_cfg = NetemConfig::from_scenario(&self.cfg.netem, stream_id);
-        let (ingress, egress) = if netem_cfg.is_active() {
-            (
-                Some(Netem::new(netem_cfg.clone(), stream_id, NetDir::Ingress)),
-                Some(Netem::new(netem_cfg, stream_id, NetDir::Egress)),
-            )
-        } else {
-            (None, None)
-        };
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(e) => return Err(format!("cloning worker stream: {e}")),
-        };
-        let welcome = wire::render_welcome(&session, 0, None);
-        if let Err(e) = stream
-            .write_all(welcome.as_bytes())
+        let reader = stream
+            .try_clone()
+            .map_err(|e| format!("cloning worker stream: {e}"))?;
+        stream
+            .write_all(wire::render_welcome(&session, gen, None).as_bytes())
             .and_then(|()| stream.flush())
-        {
-            return Err(format!("writing welcome: {e}"));
-        }
-        let idx = st.slots.len();
-        let last_line = Arc::new(Mutex::new(Instant::now()));
-        spawn_remote_reader(
+            .map_err(|e| format!("writing welcome: {e}"))?;
+        let (ingress, egress) = self.injectors(stream_id);
+        let link = TcpLink {
+            writer: stream,
+            session: session.clone(),
+            stream: stream_id,
+            netem: egress,
+        };
+        let idx = match child_slot {
+            Some(idx) => {
+                let proc = st.slots[idx].proc.as_mut().expect("starting slot");
+                proc.link = Some(link);
+                if let Ok(mut t) = proc.last_line.lock() {
+                    *t = Instant::now();
+                }
+                idx
+            }
+            None => {
+                let seed = self.cfg.backoff_seed.wrapping_add(0x7e_0000 + stream_id);
+                let mut slot = Slot::vacant(SlotKind::Remote, &self.cfg, seed);
+                slot.proc = Some(Proc {
+                    child: None,
+                    link: Some(link),
+                    name: hello.worker.clone(),
+                    last_line: Arc::new(Mutex::new(Instant::now())),
+                    gen,
+                    lease: None,
+                    drain_signaled: false,
+                });
+                slot.next_gen = 1;
+                st.slots.push(slot);
+                obs::counter_add("sweepd.remote.registered", 1);
+                st.slots.len() - 1
+            }
+        };
+        let last_line = Arc::clone(&st.slots[idx].proc.as_ref().expect("just linked").last_line);
+        spawn_link_reader(
             idx,
-            0,
+            gen,
             reader,
             leftover,
             ingress,
-            Arc::clone(&last_line),
+            last_line,
             self.events_tx.clone(),
         );
-        st.sessions.insert(session.clone(), idx);
-        st.slots.push(Slot {
-            kind: SlotKind::Remote,
-            proc: Some(Proc {
-                link: Link::Remote {
-                    writer: stream,
-                    session,
-                    name: hello.worker.clone(),
-                    stream: stream_id,
-                    netem: egress,
-                },
-                last_line,
-                gen: 0,
-                bound_sweep: 0,
-                lease: None,
-                drain_signaled: false,
-            }),
-            restarts: 0,
-            deaths: 0,
-            backoff: Backoff::with_jitter(
-                self.cfg.backoff_base_ms,
-                self.cfg.backoff_cap_ms,
-                200,
-                self.cfg.backoff_seed.wrapping_add(0x7e_0000 + stream_id),
-            ),
-            respawn_after: Instant::now(),
-            next_gen: 1,
-        });
-        obs::counter_add("sweepd.remote.registered", 1);
+        st.sessions.insert(session, idx);
         Ok(())
     }
 
@@ -889,7 +918,7 @@ impl Daemon {
     /// socket is shut down, a new generation invalidates its reader,
     /// and the welcome names the still-held lease (if any) so the
     /// worker can re-send a completion lost in flight.
-    fn resume_remote(
+    fn resume(
         &self,
         st: &mut State,
         idx: usize,
@@ -897,52 +926,33 @@ impl Daemon {
         mut stream: TcpStream,
         leftover: Vec<u8>,
     ) -> Result<(), String> {
-        let gen = st.slots[idx].next_gen;
-        st.slots[idx].next_gen += 1;
-        st.slots[idx].restarts = st.slots[idx].restarts.saturating_add(1);
-        let proc = st.slots[idx].proc.as_mut().expect("live slot checked");
+        let slot = &mut st.slots[idx];
+        let gen = slot.next_gen;
+        slot.next_gen += 1;
+        slot.restarts = slot.restarts.saturating_add(1);
+        let proc = slot.proc.as_mut().expect("live slot checked");
         let resume_key = proc.lease.as_ref().map(|l| l.key.clone());
         let welcome = wire::render_welcome(&hello.token, gen, resume_key.as_deref());
-        if let Err(e) = stream
+        stream
             .write_all(welcome.as_bytes())
             .and_then(|()| stream.flush())
-        {
-            return Err(format!("writing resume welcome: {e}"));
-        }
-        let reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(e) => return Err(format!("cloning worker stream: {e}")),
-        };
-        let Link::Remote {
-            writer,
-            name,
-            stream: stream_id,
-            netem,
-            ..
-        } = &mut proc.link
-        else {
-            unreachable!("resume target checked remote");
-        };
-        let _ = writer.shutdown(Shutdown::Both);
-        *writer = stream;
-        *name = hello.worker.clone();
-        let stream_id = *stream_id;
+            .map_err(|e| format!("writing resume welcome: {e}"))?;
+        let reader = stream
+            .try_clone()
+            .map_err(|e| format!("cloning worker stream: {e}"))?;
+        let link = proc.link.as_mut().expect("a session implies a link");
+        let _ = link.writer.shutdown(Shutdown::Both);
+        link.writer = stream;
         // Fresh per-connection injectors: netem frame counters are
         // per-connection by design (documented in DESIGN §17).
-        let netem_cfg = NetemConfig::from_scenario(&self.cfg.netem, stream_id);
-        let ingress = if netem_cfg.is_active() {
-            *netem = Some(Netem::new(netem_cfg.clone(), stream_id, NetDir::Egress));
-            Some(Netem::new(netem_cfg, stream_id, NetDir::Ingress))
-        } else {
-            *netem = None;
-            None
-        };
+        let (ingress, egress) = self.injectors(link.stream);
+        link.netem = egress;
         proc.gen = gen;
         proc.drain_signaled = false;
         if let Ok(mut t) = proc.last_line.lock() {
             *t = Instant::now();
         }
-        spawn_remote_reader(
+        spawn_link_reader(
             idx,
             gen,
             reader,
@@ -953,6 +963,20 @@ impl Daemon {
         );
         obs::counter_add("sweepd.remote.reconnects", 1);
         Ok(())
+    }
+
+    /// Ingress and egress fault injectors for one connection on netem
+    /// stream `stream_id`; `(None, None)` when the scenario leaves the
+    /// stream alone.
+    fn injectors(&self, stream_id: u64) -> (Option<Netem>, Option<Netem>) {
+        let cfg = NetemConfig::from_scenario(&self.cfg.netem, stream_id);
+        if !cfg.is_active() {
+            return (None, None);
+        }
+        (
+            Some(Netem::new(cfg.clone(), stream_id, NetDir::Ingress)),
+            Some(Netem::new(cfg, stream_id, NetDir::Egress)),
+        )
     }
 
     /// Starts a graceful drain: stop leasing, SIGTERM workers so they
@@ -1008,7 +1032,7 @@ impl Daemon {
             .enumerate()
             .map(|(i, s)| WorkerView {
                 idx: i as u64,
-                name: s.proc.as_ref().map_or(String::new(), |p| p.display_name(i)),
+                name: s.proc.as_ref().map_or(String::new(), |p| p.name.clone()),
                 alive: s.proc.is_some(),
                 pid: s.proc.as_ref().map_or(0, |p| u64::from(p.pid())),
                 restarts: s.restarts,
@@ -1073,21 +1097,18 @@ impl Daemon {
                 (stale, timed_out)
             };
             if stale {
-                let name = st.slots[idx]
-                    .proc
-                    .as_ref()
-                    .map_or_else(|| worker_name(idx), |p| p.display_name(idx));
                 let reason = format!(
-                    "worker {name} heartbeat expired (no output for {:?})",
+                    "worker {} heartbeat expired (no output for {:?})",
+                    proc_name(&st, idx),
                     cfg.heartbeat_deadline
                 );
                 kill_slot(cfg, &mut st, idx, &reason, now);
                 continue;
             }
             if let Some((sweep_id, budget)) = timed_out {
-                // Cooperative cancellation: SIGTERM makes a local
-                // worker persist the in-flight checkpoint and exit 3
-                // (a remote worker cannot be preempted; its eventual
+                // Cooperative cancellation: SIGTERM makes a spawned
+                // child persist the in-flight checkpoint and exit 3 (a
+                // dialed-in worker cannot be preempted; its eventual
                 // stale completion is fenced). The attempt is charged
                 // now so the lease cannot wedge the fleet, and a retry
                 // resumes from the checkpoint.
@@ -1096,14 +1117,11 @@ impl Daemon {
                     .as_mut()
                     .and_then(|p| p.lease.take())
                     .expect("timed-out lease");
-                let name = st.slots[idx]
-                    .proc
-                    .as_ref()
-                    .map_or_else(|| worker_name(idx), |p| p.display_name(idx));
                 let reason = format!(
-                    "cell {:?} exceeded its {}s wall-clock budget on worker {name}",
+                    "cell {:?} exceeded its {}s wall-clock budget on worker {}",
                     lease.key,
                     budget.as_secs(),
+                    proc_name(&st, idx),
                 );
                 charge_attempt(cfg, &mut st, sweep_id, &lease.key, &reason);
                 if let Some(p) = st.slots[idx].proc.as_mut() {
@@ -1112,14 +1130,14 @@ impl Daemon {
             }
         }
 
-        // 3. Reap exited local workers.
+        // 3. Reap exited spawned children.
         for idx in 0..st.slots.len() {
             let exited = match st.slots[idx].proc.as_mut() {
                 Some(p) => p.try_reap(),
                 None => continue,
             };
             if let Some(status) = exited {
-                let reason = format!("worker {} exited with {status}", worker_name(idx));
+                let reason = format!("worker {} exited with {status}", proc_name(&st, idx));
                 kill_slot(cfg, &mut st, idx, &reason, now);
             }
         }
@@ -1138,7 +1156,7 @@ impl Daemon {
         if self.draining.load(Ordering::SeqCst) {
             drain_fleet(cfg, &mut st, now);
         } else {
-            assign_work(cfg, &mut st, &self.events_tx, now);
+            assign_work(cfg, &mut st, now);
         }
     }
 
@@ -1163,6 +1181,14 @@ impl Daemon {
         }
         !self.unfinished()
     }
+}
+
+/// The identity of the worker in slot `idx`, for failure reasons.
+fn proc_name(st: &State, idx: usize) -> String {
+    st.slots[idx]
+        .proc
+        .as_ref()
+        .map_or_else(|| worker_name(idx), |p| p.name.clone())
 }
 
 fn view_of(sweep: &Sweep) -> SweepView {
@@ -1192,7 +1218,6 @@ fn apply_event(cfg: &DaemonConfig, st: &mut State, slot_idx: usize, gen: u64, ev
         return; // event from a previous incarnation of the slot
     }
     match event {
-        WorkerEvent::Ready => {}
         WorkerEvent::Done {
             key,
             result,
@@ -1205,10 +1230,11 @@ fn apply_event(cfg: &DaemonConfig, st: &mut State, slot_idx: usize, gen: u64, ev
                 proc.lease = Some(lease);
                 return;
             }
-            if fence.is_some_and(|g| g != lease.gen) {
-                // Stale echo: the worker is finishing an attempt whose
-                // lease was superseded (e.g. timeout → re-lease of the
-                // same cell to the same worker). The live lease stays.
+            if fence != Some(lease.gen) {
+                // Stale (or missing) echo: the worker is finishing an
+                // attempt whose lease was superseded (e.g. timeout →
+                // re-lease of the same cell to the same worker). The
+                // live lease stays.
                 proc.lease = Some(lease);
                 obs::counter_add("sweepd.cells.fenced", 1);
                 return;
@@ -1242,13 +1268,14 @@ fn apply_event(cfg: &DaemonConfig, st: &mut State, slot_idx: usize, gen: u64, ev
                 proc.lease = Some(lease);
                 return;
             }
+            // An error without an echo is a worker reporting a lease it
+            // lost the state for (it reconnected mid-cell): charge it.
             if fence.is_some_and(|g| g != lease.gen) {
                 proc.lease = Some(lease);
                 obs::counter_add("sweepd.cells.fenced", 1);
                 return;
             }
-            let name = proc.display_name(slot_idx);
-            let reason = format!("worker {name}: {error}");
+            let reason = format!("worker {}: {error}", proc.name);
             charge_attempt(cfg, st, lease.sweep_id, &key, &reason);
         }
         WorkerEvent::Interrupted { key } => {
@@ -1271,14 +1298,14 @@ fn apply_event(cfg: &DaemonConfig, st: &mut State, slot_idx: usize, gen: u64, ev
             }
         }
         WorkerEvent::Eof => {
-            // Local: the reap pass collects the exit status, and the
-            // heartbeat deadline covers a process that closed stdout
-            // but lingers. Remote with no lease: a clean disconnect —
-            // retire the slot now instead of waiting out the deadline.
-            // A *leased* remote keeps its slot: the heartbeat deadline
-            // is the reconnect grace window.
-            let retire = proc.is_remote() && proc.lease.is_none();
-            if retire {
+            // Spawned child: the reap pass collects the exit status,
+            // and the heartbeat deadline covers a child that lost its
+            // link but lingers (it redials with its token). Dialed-in
+            // worker with no lease: a clean disconnect — retire the
+            // slot now instead of waiting out the deadline. A *leased*
+            // one keeps its slot: the deadline is the reconnect grace
+            // window.
+            if proc.child.is_none() && proc.lease.is_none() {
                 if let Some(mut p) = st.slots[slot_idx].proc.take() {
                     if let Some(session) = p.session().map(str::to_string) {
                         st.sessions.remove(&session);
@@ -1473,14 +1500,11 @@ fn spawn_finalize(cfg: &DaemonConfig, sweep: &Sweep) -> std::io::Result<Child> {
         .spawn()
 }
 
-/// Leases pending cells to idle workers, spawning or rebinding workers
-/// as needed. Sweeps are served in priority order.
-fn assign_work(
-    cfg: &DaemonConfig,
-    st: &mut State,
-    events_tx: &Sender<(usize, u64, WorkerEvent)>,
-    now: Instant,
-) {
+/// Leases pending cells to idle workers, sweeps in priority order; any
+/// registered worker can take any sweep's cell, since every run command
+/// is self-contained. While cells are still pending, vacant local slots
+/// past their backoff spawn a child.
+fn assign_work(cfg: &DaemonConfig, st: &mut State, now: Instant) {
     let mut order: Vec<(i64, u64)> = st
         .sweeps
         .values()
@@ -1489,95 +1513,50 @@ fn assign_work(
         .collect();
     order.sort_by_key(|&(priority, id)| (std::cmp::Reverse(priority), id));
 
-    for (_, sweep_id) in order {
-        loop {
-            if !st.sweeps.get(&sweep_id).is_some_and(Sweep::has_pending) {
-                break;
-            }
-            // A slot for this sweep: an idle live worker already bound
-            // to it, else an idle remote worker whose sweep no longer
-            // needs it (rebinding is free — run commands to remote
-            // workers are self-contained), else an empty local slot
-            // past its backoff, else an idle local worker bound to a
-            // sweep that no longer needs it.
-            let bound_idle = st.slots.iter().position(|s| {
-                s.proc
-                    .as_ref()
-                    .is_some_and(|p| p.lease.is_none() && p.bound_sweep == sweep_id)
-            });
-            let idx = if let Some(idx) = bound_idle {
-                idx
-            } else if let Some(idx) = st.slots.iter().position(|s| {
-                s.proc.as_ref().is_some_and(|p| {
-                    p.is_remote()
-                        && p.lease.is_none()
-                        && !st
-                            .sweeps
-                            .get(&p.bound_sweep)
-                            .is_some_and(Sweep::has_pending)
-                })
-            }) {
-                if let Some(p) = st.slots[idx].proc.as_mut() {
-                    p.bound_sweep = sweep_id;
-                }
-                idx
-            } else if let Some(idx) = st.slots.iter().position(|s| {
-                s.kind == SlotKind::Local && s.proc.is_none() && now >= s.respawn_after
-            }) {
-                let dir = st.sweeps[&sweep_id].dir.clone();
-                let seed = st.sweeps[&sweep_id].manifest.seed;
-                match spawn_worker(cfg, idx, sweep_id, &dir, seed, st, events_tx) {
-                    Ok(()) => idx,
-                    Err(e) => {
-                        // Spawn failure counts as a death: back off and
-                        // let a later tick retry.
-                        let slot = &mut st.slots[idx];
-                        let attempt = slot.deaths;
-                        slot.deaths = slot.deaths.saturating_add(1);
-                        slot.respawn_after =
-                            now + Duration::from_millis(slot.backoff.delay(attempt));
-                        eprintln!("sweepd: spawning worker {}: {e}", worker_name(idx));
-                        break;
-                    }
-                }
-            } else if let Some(idx) = st.slots.iter().position(|s| {
-                s.proc.as_ref().is_some_and(|p| {
-                    !p.is_remote()
-                        && p.lease.is_none()
-                        && !st
-                            .sweeps
-                            .get(&p.bound_sweep)
-                            .is_some_and(Sweep::has_pending)
-                })
-            }) {
-                // Rebind: retire the idle local worker; the slot
-                // respawns for this sweep on the next tick.
-                if let Some(proc) = st.slots[idx].proc.as_mut() {
-                    let _ = proc.send_line("{\"op\":\"exit\"}");
-                }
-                if let Some(mut proc) = st.slots[idx].proc.take() {
-                    proc.terminate();
-                }
-                st.slots[idx].respawn_after = now;
-                break;
-            } else {
+    for &(_, sweep_id) in &order {
+        while st.sweeps.get(&sweep_id).is_some_and(Sweep::has_pending) {
+            let Some(idx) = st
+                .slots
+                .iter()
+                .position(|s| s.proc.as_ref().is_some_and(Proc::idle))
+            else {
                 break; // fleet saturated
             };
-
             lease_next(cfg, st, sweep_id, idx);
+        }
+    }
+
+    let Some(addr) = st.worker_addr else {
+        return; // the worker listener is not bound yet
+    };
+    if !st.sweeps.values().any(Sweep::has_pending) {
+        return;
+    }
+    for idx in 0..st.slots.len() {
+        let slot = &st.slots[idx];
+        if slot.kind != SlotKind::Local || slot.proc.is_some() || now < slot.respawn_after {
+            continue;
+        }
+        if let Err(e) = spawn_worker(cfg, idx, addr, st) {
+            // Spawn failure counts as a death: back off and let a
+            // later tick retry.
+            let slot = &mut st.slots[idx];
+            let attempt = slot.deaths;
+            slot.deaths = slot.deaths.saturating_add(1);
+            slot.respawn_after = now + Duration::from_millis(slot.backoff.delay(attempt));
+            eprintln!("sweepd: spawning worker {}: {e}", worker_name(idx));
         }
     }
 }
 
 /// Leases the sweep's next pending cell to slot `idx` and sends the
-/// fence-tagged run command down the worker's link. Remote run
-/// commands are self-contained (dir/seed/ckpt-interval inline), so a
-/// delayed or reordered frame can never leave a worker mis-bound.
+/// fence-tagged run command down the worker's link. Run commands are
+/// self-contained (dir/seed/ckpt-interval inline), so a delayed or
+/// reordered frame can never leave a worker mis-bound.
 fn lease_next(cfg: &DaemonConfig, st: &mut State, sweep_id: u64, idx: usize) {
     let fence = st.next_fence;
-    let (worker, remote) = match st.slots[idx].proc.as_ref() {
-        Some(p) => (p.display_name(idx), p.is_remote()),
-        None => return,
+    let Some(worker) = st.slots[idx].proc.as_ref().map(|p| p.name.clone()) else {
+        return;
     };
     let Some(sweep) = st.sweeps.get_mut(&sweep_id) else {
         return;
@@ -1609,65 +1588,45 @@ fn lease_next(cfg: &DaemonConfig, st: &mut State, sweep_id: u64, idx: usize) {
         return;
     };
     let json = |s: &str| serde_json::to_string(&s).unwrap_or_else(|_| "\"\"".into());
-    let cmd = if remote {
-        format!(
-            "{{\"op\":\"run\",\"exp\":{},\"key\":{},\"gen\":{fence},\"dir\":{},\"seed\":{seed},\"ckpt_interval\":{}}}",
-            json(&exp),
-            json(&key),
-            json(&dir),
-            cfg.ckpt_interval,
-        )
-    } else {
-        format!(
-            "{{\"op\":\"run\",\"exp\":{},\"key\":{},\"gen\":{fence}}}",
-            json(&exp),
-            json(&key),
-        )
-    };
-    let sent = proc.send_line(&cmd);
+    let cmd = format!(
+        "{{\"op\":\"run\",\"exp\":{},\"key\":{},\"gen\":{fence},\"dir\":{},\"seed\":{seed},\"ckpt_interval\":{}}}",
+        json(&exp),
+        json(&key),
+        json(&dir),
+        cfg.ckpt_interval,
+    );
+    // A failed send means the link is dying; the heartbeat deadline (or
+    // the reap pass, for a spawned child) journals the orphaned lease
+    // and requeues the cell.
+    let _ = proc.send_line(&cmd);
     proc.lease = Some(LeaseInfo {
         sweep_id,
         key,
         started: Instant::now(),
         gen: fence,
     });
-    if sent.is_err() {
-        // Broken pipe: the worker is dying; the reap pass (or the
-        // heartbeat deadline, for a remote link) will journal the
-        // orphaned lease and requeue the cell.
-    }
 }
 
-/// Spawns a worker bound to one sweep and wires its reader thread.
+/// Spawns a local slot's worker, which dials back to `addr` and stays
+/// *starting* until its hello pairs it with the slot.
 fn spawn_worker(
     cfg: &DaemonConfig,
     idx: usize,
-    sweep_id: u64,
-    dir: &std::path::Path,
-    seed: u64,
+    addr: SocketAddr,
     st: &mut State,
-    events_tx: &Sender<(usize, u64, WorkerEvent)>,
 ) -> std::io::Result<()> {
     let cmd = &cfg.worker_cmd;
-    let mut child = Command::new(&cmd[0])
+    let child = Command::new(&cmd[0])
         .args(&cmd[1..])
-        .arg("--worker")
-        .arg("--sweep-dir")
-        .arg(dir)
-        .arg("--seed")
-        .arg(seed.to_string())
-        .arg("--ckpt-interval")
-        .arg(cfg.ckpt_interval.to_string())
-        .arg("--jobs")
-        .arg("1")
+        .arg("--connect")
+        .arg(addr.to_string())
         .arg("--heartbeat-ms")
         .arg(cfg.heartbeat_ms.to_string())
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
+        .arg("--jobs")
+        .arg("1")
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
         .spawn()?;
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let pid = child.id();
     let slot = &mut st.slots[idx];
     let gen = slot.next_gen;
     slot.next_gen += 1;
@@ -1675,48 +1634,24 @@ fn spawn_worker(
     if gen > 0 {
         obs::counter_add("sweepd.worker.restarts", 1);
     }
-    let last_line = Arc::new(Mutex::new(Instant::now()));
-    spawn_reader(idx, gen, stdout, Arc::clone(&last_line), events_tx.clone());
     slot.proc = Some(Proc {
-        link: Link::Child { child, pid, stdin },
-        last_line,
+        child: Some(child),
+        link: None,
+        name: worker_name(idx),
+        last_line: Arc::new(Mutex::new(Instant::now())),
         gen,
-        bound_sweep: sweep_id,
         lease: None,
         drain_signaled: false,
     });
     Ok(())
 }
 
-fn spawn_reader(
-    idx: usize,
-    gen: u64,
-    stdout: ChildStdout,
-    last_line: Arc<Mutex<Instant>>,
-    tx: Sender<(usize, u64, WorkerEvent)>,
-) {
-    std::thread::spawn(move || {
-        for line in BufReader::new(stdout).lines() {
-            let Ok(line) = line else { break };
-            if let Ok(mut t) = last_line.lock() {
-                *t = Instant::now();
-            }
-            if let Some(event) = parse_event(&line) {
-                if tx.send((idx, gen, event)).is_err() {
-                    return;
-                }
-            }
-        }
-        let _ = tx.send((idx, gen, WorkerEvent::Eof));
-    });
-}
-
-/// Reader thread for a remote link: reassembles frames with the shared
+/// Reader thread for a worker link: reassembles frames with the shared
 /// [`wire`] codec, passes each through the ingress fault injector, and
 /// timestamps only *delivered* frames — so a scripted partition window
 /// starves the liveness timestamp exactly like a real one. A protocol
 /// violation (oversized frame, invalid UTF-8) drops the connection.
-fn spawn_remote_reader(
+fn spawn_link_reader(
     idx: usize,
     gen: u64,
     stream: TcpStream,
@@ -1769,9 +1704,9 @@ fn spawn_remote_reader(
     });
 }
 
-/// Drains the fleet: one drain signal per worker (SIGTERM for locals,
-/// the exit op for remotes — cooperative checkpoint + exit 3),
-/// escalate to a hard kill past the grace window.
+/// Drains the fleet: one drain signal per worker (SIGTERM for spawned
+/// children, the exit op for dialed-in workers — cooperative checkpoint
+/// + exit 3), escalate to a hard kill past the grace window.
 fn drain_fleet(cfg: &DaemonConfig, st: &mut State, now: Instant) {
     let started = *st.drain_started.get_or_insert(now);
     let escalate = now.duration_since(started) > cfg.drain_grace;
@@ -1780,7 +1715,7 @@ fn drain_fleet(cfg: &DaemonConfig, st: &mut State, now: Instant) {
             continue;
         }
         if escalate {
-            let reason = format!("worker {} killed after drain grace", worker_name(idx));
+            let reason = format!("worker {} killed after drain grace", proc_name(st, idx));
             kill_slot(cfg, st, idx, &reason, now);
         } else if let Some(proc) = st.slots[idx].proc.as_mut() {
             proc.signal_drain();
@@ -1803,3 +1738,102 @@ fn send_sigterm(pid: u32) {
 
 #[cfg(not(unix))]
 fn send_sigterm(_pid: u32) {}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A connected loopback socket pair: (daemon side, worker side).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let worker = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (daemon_side, _) = listener.accept().unwrap();
+        (daemon_side, worker)
+    }
+
+    fn hello(pid: u32) -> wire::Hello {
+        wire::Hello {
+            proto: wire::PROTO_VERSION,
+            fingerprint: wire::fingerprint(crate::manifest::SUPPORTED_EXPERIMENTS),
+            token: String::new(),
+            worker: "w-dialer".into(),
+            pid,
+        }
+    }
+
+    /// Pairing needs both the child's pid and a loopback peer: a hello
+    /// that carries the pid from another host (sockets cannot fake a
+    /// non-loopback peer on one machine, hence the unit test) is a
+    /// remote worker.
+    #[test]
+    fn only_a_loopback_hello_with_the_child_pid_pairs_with_its_slot() {
+        let mut cfg = DaemonConfig::new(vec!["sleep".into()], std::env::temp_dir());
+        cfg.workers = 1;
+        let daemon = Daemon::new(cfg);
+        let child = Command::new("sleep").arg("30").spawn().unwrap();
+        let pid = child.id();
+        daemon.state.lock().unwrap().slots[0].proc = Some(Proc {
+            child: Some(child),
+            link: None,
+            name: worker_name(0),
+            last_line: Arc::new(Mutex::new(Instant::now())),
+            gen: 0,
+            lease: None,
+            drain_signaled: false,
+        });
+        let far = IpAddr::V4(Ipv4Addr::new(192, 0, 2, 7));
+        let near = IpAddr::V4(Ipv4Addr::LOCALHOST);
+
+        let mut keep = Vec::new();
+        for (peer, pid) in [(far, pid), (near, pid.wrapping_add(1))] {
+            let (daemon_side, worker_side) = socket_pair();
+            keep.push(worker_side);
+            daemon
+                .register(&hello(pid), peer, daemon_side, Vec::new())
+                .unwrap();
+        }
+        {
+            let st = daemon.state.lock().unwrap();
+            assert_eq!(st.slots.len(), 3, "both dialers get slots of their own");
+            assert!(st.slots[0].proc.as_ref().unwrap().link.is_none());
+            assert!(st.slots[1..].iter().all(|s| s.kind == SlotKind::Remote));
+        }
+
+        let (daemon_side, worker_side) = socket_pair();
+        keep.push(worker_side);
+        daemon
+            .register(&hello(pid), near, daemon_side, Vec::new())
+            .unwrap();
+        let mut st = daemon.state.lock().unwrap();
+        assert_eq!(st.slots.len(), 3, "the child pairs with its own slot");
+        let proc = st.slots[0].proc.as_mut().unwrap();
+        assert!(proc.idle());
+        assert_eq!(proc.name, "w-0");
+        proc.terminate();
+    }
+
+    #[test]
+    fn children_dial_the_loopback_form_of_the_listener() {
+        let mut cfg = DaemonConfig::new(vec!["true".into()], std::env::temp_dir());
+        cfg.workers = 1;
+        let daemon = Daemon::new(cfg);
+        let worker_addr = || daemon.state.lock().unwrap().worker_addr;
+        daemon
+            .set_worker_addr("0.0.0.0:7000".parse().unwrap())
+            .unwrap();
+        assert_eq!(worker_addr(), Some("127.0.0.1:7000".parse().unwrap()));
+        daemon
+            .set_worker_addr("[::]:7001".parse().unwrap())
+            .unwrap();
+        assert_eq!(worker_addr(), Some("[::1]:7001".parse().unwrap()));
+        daemon
+            .set_worker_addr("127.0.0.2:7002".parse().unwrap())
+            .unwrap();
+        assert_eq!(worker_addr(), Some("127.0.0.2:7002".parse().unwrap()));
+        let e = daemon
+            .set_worker_addr("192.0.2.7:7003".parse().unwrap())
+            .unwrap_err();
+        assert!(e.contains("loopback"), "{e}");
+    }
+}

@@ -11,10 +11,11 @@
 //!   manifests arrive on `POST /sweeps`; progress streams from
 //!   `GET /sweeps/:id`; `GET /metrics` exposes the telemetry snapshot.
 //! * **Worker fleet** ([`daemon`]): cells are sharded across
-//!   supervised `experiments --worker` child processes speaking a
-//!   line-flushed JSONL protocol over stdin/stdout. Liveness is
-//!   heartbeat-based with a hard deadline; dead workers respawn under
-//!   jittered exponential backoff ([`faultsim::Backoff`]).
+//!   supervised `experiments --connect` child processes that dial back
+//!   to the daemon's loopback worker listener and speak the same framed
+//!   TCP protocol as remote workers. Liveness is heartbeat-based with a
+//!   hard deadline; dead children respawn under jittered exponential
+//!   backoff ([`faultsim::Backoff`]).
 //! * **Crash migration**: the per-sweep JSONL journal (shared with the
 //!   in-process sweep runner) is the single source of truth — lease
 //!   records, idempotent completions, failed attempts. A cell leased
@@ -25,11 +26,12 @@
 //!   lowest-priority sweeps are shed with a structured reason; SIGTERM
 //!   drains in-flight cells to checkpoints and exits 3 ("interrupted,
 //!   resumable") — the exit-code contract the rest of the repo uses.
-//! * **Distributed workers** ([`remote`], [`wire`]): workers on other
-//!   hosts dial `--worker-listen`, complete a versioned registration
-//!   handshake (protocol version, experiment-set fingerprint, session
-//!   token for reconnect-with-resume), and speak the same JSONL
-//!   protocol over a length-capped framed TCP stream. Leases are
+//! * **One worker transport** ([`remote`], [`wire`]): every worker —
+//!   spawned child or one on another host dialing `--worker-listen` —
+//!   completes a versioned registration handshake (protocol version,
+//!   experiment-set fingerprint, session token for reconnect-with-
+//!   resume, pid for pairing a child with its slot) and speaks JSONL
+//!   over a length-capped framed TCP stream. Leases are
 //!   fence-generation-tagged so a partitioned worker's stale
 //!   completions are rejected, and the coordinator-side transport can
 //!   be wrapped in a deterministic network-fault injector

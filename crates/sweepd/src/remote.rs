@@ -1,12 +1,13 @@
-//! TCP listener for remote workers.
+//! TCP listener for sweep workers.
 //!
-//! Workers dial this port (daemon flag `--worker-listen`), send one
-//! [`wire::Hello`] frame, and receive a welcome (fresh session or
-//! reconnect-with-resume) or a reject naming the reason. After the
-//! handshake the connection carries the same JSONL event protocol a
-//! local worker speaks over its pipes, reassembled with the shared
-//! length-capped frame codec and passed through the daemon's scripted
-//! network-fault injector.
+//! Every worker dials this port — remote workers on their own (daemon
+//! flag `--worker-listen`), the daemon's spawned children at the
+//! loopback form of the bound address — sends one [`wire::Hello`]
+//! frame, and receives a welcome (fresh session or reconnect-with-
+//! resume) or a reject naming the reason. After the handshake the
+//! connection carries the JSONL event protocol, reassembled with the
+//! shared length-capped frame codec and passed through the daemon's
+//! scripted network-fault injector.
 //!
 //! The handshake itself bypasses netem by design: the chaos scope is
 //! the steady-state stream, and a scripted drop of the hello would
@@ -14,7 +15,7 @@
 //! faults already cover.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,26 +27,33 @@ use crate::wire;
 /// handshake threads).
 const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Accepts remote-worker registrations until the daemon drains.
-/// `on_bound` receives the bound address (tests bind port 0).
+/// Accepts worker registrations until the daemon drains. The bound
+/// address is handed to the daemon (its spawned children dial its
+/// loopback form) and then to `on_bound` (tests bind port 0).
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error when the listener cannot bind.
+/// Returns the underlying I/O error when the listener cannot bind, or
+/// an `InvalidInput` error when the daemon has local slots and the
+/// address is neither loopback nor a wildcard.
 pub fn serve_workers(
     daemon: Arc<Daemon>,
     addr: &str,
     on_bound: impl FnOnce(SocketAddr),
 ) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
-    on_bound(listener.local_addr()?);
+    let bound = listener.local_addr()?;
+    daemon
+        .set_worker_addr(bound)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    on_bound(bound);
     listener.set_nonblocking(true)?;
     loop {
         match listener.accept() {
-            Ok((stream, _peer)) => {
+            Ok((stream, peer)) => {
                 let daemon = Arc::clone(&daemon);
                 std::thread::spawn(move || {
-                    if let Err(reason) = handshake(&daemon, stream) {
+                    if let Err(reason) = handshake(&daemon, stream, peer.ip()) {
                         obs::counter_add("sweepd.remote.rejected", 1);
                         eprintln!("sweepd: worker registration failed: {reason}");
                     }
@@ -64,7 +72,10 @@ pub fn serve_workers(
 
 /// Reads the hello frame, validates it, and hands the connection (plus
 /// any bytes read past the hello) to the daemon for registration.
-fn handshake(daemon: &Daemon, mut stream: TcpStream) -> Result<(), String> {
+fn handshake(daemon: &Daemon, mut stream: TcpStream, peer: IpAddr) -> Result<(), String> {
+    // Run commands are small frames that wait on their answer; do not
+    // let Nagle hold them back.
+    let _ = stream.set_nodelay(true);
     stream
         .set_read_timeout(Some(HELLO_TIMEOUT))
         .map_err(|e| format!("setting hello timeout: {e}"))?;
@@ -100,5 +111,5 @@ fn handshake(daemon: &Daemon, mut stream: TcpStream) -> Result<(), String> {
     stream
         .set_read_timeout(None)
         .map_err(|e| format!("clearing hello timeout: {e}"))?;
-    daemon.register_remote(&hello, stream, leftover)
+    daemon.register(&hello, peer, stream, leftover)
 }

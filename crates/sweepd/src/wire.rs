@@ -6,8 +6,8 @@
 //! ordinary JSONL worker protocol starts:
 //!
 //! ```text
-//! worker      -> {"hello":{"proto":1,"fingerprint":F,"token":"","worker":"w-tcp-123"}}
-//! coordinator -> {"welcome":{"proto":1,"session":"s1","gen":0,"resume":""}}   (accepted)
+//! worker      -> {"hello":{"proto":2,"fingerprint":F,"token":"","worker":"w-tcp-123","pid":123}}
+//! coordinator -> {"welcome":{"proto":2,"session":"s1","gen":0,"resume":""}}   (accepted)
 //! coordinator -> {"reject":{"reason":"..."}}                                  (refused)
 //! ```
 //!
@@ -21,6 +21,10 @@
 //!   a live registration re-attaches the new socket to the old slot and
 //!   `resume` names the cell key the worker's lease still covers (empty
 //!   if it holds none, or if the lease migrated while it was away).
+//! * `pid` is the worker's OS process id. A first-contact hello from a
+//!   loopback peer whose pid matches a child the coordinator spawned
+//!   pairs the connection with that child's slot; any other hello gets
+//!   a fresh slot of its own.
 //!
 //! Everything here is a pure function over bytes — no sockets — so the
 //! fuzz harness (`bench --bin fuzz --boundary frame`, lane 7) can drive
@@ -30,7 +34,7 @@
 use serde::value::Value;
 
 /// Handshake protocol version. Bump on any incompatible frame change.
-pub const PROTO_VERSION: u32 = 1;
+pub const PROTO_VERSION: u32 = 2;
 
 /// Hard cap on a single frame (one JSONL line, excluding the newline).
 /// A peer that streams more than this without a newline is speaking a
@@ -122,6 +126,8 @@ pub struct Hello {
     pub token: String,
     /// Self-reported worker name, used in lease journal records.
     pub worker: String,
+    /// The worker's OS process id.
+    pub pid: u32,
 }
 
 /// The coordinator's answer to a hello.
@@ -192,8 +198,8 @@ fn field<'a>(map: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
 ///
 /// Returns a [`WireError`] for non-JSON input, a missing or mistyped
 /// `hello` envelope, missing or mistyped `proto`/`fingerprint`, an
-/// out-of-range `proto`, or an over-cap / control-character `token` or
-/// `worker` name.
+/// out-of-range `proto` or `pid`, or an over-cap / control-character
+/// `token` or `worker` name.
 pub fn parse_hello(line: &str) -> Result<Hello, WireError> {
     let root: Value = match serde_json::from_str(line) {
         Ok(v) => v,
@@ -227,22 +233,31 @@ pub fn parse_hello(line: &str) -> Result<Hello, WireError> {
     if worker.is_empty() {
         return err("\"worker\" must not be empty");
     }
+    let pid = match field(body, "pid") {
+        Some(v) => want_u64(v, "\"pid\"")?,
+        None => return err("hello is missing \"pid\""),
+    };
+    let Ok(pid) = u32::try_from(pid) else {
+        return err("\"pid\" out of u32 range");
+    };
     Ok(Hello {
         proto,
         fingerprint,
         token,
         worker,
+        pid,
     })
 }
 
 /// Renders a hello frame (newline included) ready to write to a socket.
 pub fn render_hello(hello: &Hello) -> String {
     format!(
-        "{{\"hello\":{{\"proto\":{},\"fingerprint\":{},\"token\":{},\"worker\":{}}}}}\n",
+        "{{\"hello\":{{\"proto\":{},\"fingerprint\":{},\"token\":{},\"worker\":{},\"pid\":{}}}}}\n",
         hello.proto,
         hello.fingerprint,
         json_str(&hello.token),
         json_str(&hello.worker),
+        hello.pid,
     )
 }
 
@@ -408,6 +423,7 @@ mod tests {
             fingerprint: fingerprint(&["faults"]),
             token: "s42".into(),
             worker: "w-tcp-7".into(),
+            pid: u32::MAX,
         };
         let line = render_hello(&hello);
         assert!(line.ends_with('\n'));
@@ -437,12 +453,32 @@ mod tests {
                 "{\"hello\":{\"proto\":1,\"fingerprint\":2,\"worker\":\"a\\nb\"}}",
                 "control characters",
             ),
+            (
+                "{\"hello\":{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\"}}",
+                "missing \"pid\"",
+            ),
+            (
+                "{\"hello\":{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\",\"pid\":\"7\"}}",
+                "\"pid\" must be a non-negative integer",
+            ),
+            (
+                "{\"hello\":{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\",\"pid\":-7}}",
+                "\"pid\" must be a non-negative integer",
+            ),
+            (
+                "{\"hello\":{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\",\"pid\":1.5}}",
+                "\"pid\" must be a non-negative integer",
+            ),
+            (
+                "{\"hello\":{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\",\"pid\":4294967296}}",
+                "\"pid\" out of u32 range",
+            ),
         ] {
             let e = parse_hello(line).expect_err(line);
             assert!(e.reason.contains(needle), "{line}: {e} missing {needle:?}");
         }
         let long = format!(
-            "{{\"hello\":{{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\",\"token\":\"{}\"}}}}",
+            "{{\"hello\":{{\"proto\":1,\"fingerprint\":2,\"worker\":\"w\",\"pid\":1,\"token\":\"{}\"}}}}",
             "t".repeat(MAX_TOKEN + 1)
         );
         let e = parse_hello(&long).expect_err("token cap");

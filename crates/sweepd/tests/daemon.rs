@@ -1,66 +1,42 @@
-//! End-to-end supervision tests against a scripted stand-in worker.
+//! End-to-end supervision tests for the daemon's local slots.
 //!
-//! The daemon only sees the worker *protocol* (grid one-shot + JSONL
-//! over stdin/stdout), so a `/bin/sh` script makes every failure mode
-//! deterministic: a worker that completes cells, one that goes silent
-//! mid-lease (heartbeat expiry → crash migration), fleets below the
-//! floor (shedding). Timing margins are generous for slow CI boxes.
+//! The daemon spawns a `/bin/sh` stand-in into each local slot (see
+//! `common::write_worker_script`): it answers `--grid` and otherwise
+//! only anchors the child's lifetime — reaping and SIGTERM act on it.
+//! The protocol side of each child is played from the test thread,
+//! which dials the worker listener with the child's pid, so every
+//! failure mode is deterministic: a worker that completes cells, one
+//! that goes silent mid-lease (heartbeat expiry → crash migration),
+//! fleets below the floor (shedding). Timing margins are generous for
+//! slow CI boxes.
 
 #![cfg(unix)]
 
-use std::os::unix::fs::PermissionsExt;
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
+use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use checkpoint::manifest::{Journal, JournalHeader, JournalRecord};
-use checkpoint::FORMAT_VERSION;
+use checkpoint::manifest::JournalRecord;
+use common::{
+    dial, drive_locals, hello, journal_records, scratch, sigterm_seen, start_listener,
+    write_worker_script, Reply,
+};
+use serde::value::Value;
 use sweepd::{parse_manifest, CancelError, Daemon, DaemonConfig};
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sweepd-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Writes an executable worker script. `cell_logic` is the shell `case`
-/// body handling `run` commands (the command line is in `$line`).
-fn write_worker_script(dir: &Path, cell_logic: &str) -> PathBuf {
-    let path = dir.join("fake-worker.sh");
-    let script = format!(
-        r#"#!/bin/sh
-if [ "$1" = "--grid" ]; then
-  printf '%s\n' '{{"experiment":"faults","sweep_hash":77,"seed":42,"cells":[{{"key":"a","hash":1}},{{"key":"b","hash":2}}]}}'
-  exit 0
-fi
-if [ "$1" != "--worker" ]; then
-  exit 0
-fi
-printf '%s\n' '{{"ev":"ready","pid":0}}'
-( while :; do printf '%s\n' '{{"ev":"hb","seq":0}}'; sleep 0.05; done ) &
-HB=$!
-trap 'kill $HB 2>/dev/null' EXIT
-trap 'kill $HB 2>/dev/null; exit 3' TERM INT
-while read -r line; do
-  case "$line" in
-    *'"op":"exit"'*) exit 0 ;;
-{cell_logic}
-  esac
-done
-exit 0
-"#
-    );
-    std::fs::write(&path, script).unwrap();
-    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
-    path
-}
-
-fn config(dir: &Path, script: &Path) -> DaemonConfig {
+fn config(dir: &Path) -> DaemonConfig {
+    let script = write_worker_script(dir);
     let mut cfg = DaemonConfig::new(
         vec!["/bin/sh".to_string(), script.display().to_string()],
         dir.join("state"),
     );
-    cfg.heartbeat_deadline = Duration::from_millis(600);
+    cfg.heartbeat_deadline = Duration::from_millis(1000);
     cfg.heartbeat_ms = 50;
     cfg.backoff_base_ms = 10;
     cfg.backoff_cap_ms = 100;
@@ -80,38 +56,43 @@ fn tick_until(daemon: &Daemon, what: &str, pred: impl Fn(&Daemon) -> bool) {
     panic!("timed out waiting for: {what}");
 }
 
-fn journal_records(state_dir: &Path, sweep_id: u64) -> Vec<JournalRecord> {
-    let path = state_dir
-        .join(format!("sweep-{sweep_id}"))
-        .join("faults.manifest.jsonl");
-    let header = JournalHeader {
-        version: FORMAT_VERSION,
-        config_hash: 77,
-        seed: 42,
-    };
-    let (_, records) = Journal::open_resume_records(&path, &header).expect("journal parses");
-    records
+fn done(id: u64) -> impl Fn(&Daemon) -> bool {
+    move |d| {
+        d.sweep_views()
+            .iter()
+            .any(|v| v.id == id && v.status == "done")
+    }
+}
+
+/// Every cell completes on its first lease.
+fn complete(_key: &str) -> Reply {
+    Reply::Done
+}
+
+/// Cell `b`'s first lease gets `first`; every other lease completes.
+fn b_first(first: fn() -> Reply) -> impl Fn(&str) -> Reply + Send + Sync {
+    let attempted = AtomicBool::new(false);
+    move |key| {
+        if key == "b" && !attempted.swap(true, Ordering::SeqCst) {
+            first()
+        } else {
+            Reply::Done
+        }
+    }
 }
 
 #[test]
 fn sweep_runs_to_completion_with_leases_journaled() {
     let dir = scratch("complete");
-    let script = write_worker_script(
-        &dir,
-        r#"    *'"key":"a"'*) printf '%s\n' '{"ev":"done","key":"a","hash":1,"result":"{\"v\":1}"}' ;;
-    *'"key":"b"'*) printf '%s\n' '{"ev":"done","key":"b","hash":2,"result":"{\"v\":2}"}' ;;"#,
-    );
-    let cfg = config(&dir, &script);
+    let cfg = config(&dir);
     let state_dir = cfg.state_dir.clone();
     let daemon = Daemon::new(cfg);
+    let addr = start_listener(&daemon);
+    drive_locals(&daemon, addr, complete);
 
     let manifest = parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap();
     let id = daemon.submit(manifest).expect("submit");
-    tick_until(&daemon, "sweep done", |d| {
-        d.sweep_views()
-            .iter()
-            .any(|v| v.id == id && v.status == "done")
-    });
+    tick_until(&daemon, "sweep done", done(id));
 
     let (view, cells) = daemon.sweep_detail(id).expect("detail");
     assert_eq!(view.done, 2);
@@ -153,33 +134,17 @@ fn sweep_runs_to_completion_with_leases_journaled() {
 #[test]
 fn dead_worker_is_detected_and_cell_migrates() {
     let dir = scratch("migrate");
-    // Cell "b" hangs silently (kills its own heartbeat) on the first
-    // attempt; the marker file makes the retried lease succeed.
-    let marker = dir.join("b-attempted");
-    let cell_logic = format!(
-        r#"    *'"key":"a"'*) printf '%s\n' '{{"ev":"done","key":"a","hash":1,"result":"{{\"v\":1}}"}}' ;;
-    *'"key":"b"'*)
-      if [ -e {marker} ]; then
-        printf '%s\n' '{{"ev":"done","key":"b","hash":2,"result":"{{\"v\":2}}"}}'
-      else
-        : > {marker}
-        kill $HB 2>/dev/null
-        sleep 60
-      fi ;;"#,
-        marker = marker.display()
-    );
-    let script = write_worker_script(&dir, &cell_logic);
-    let cfg = config(&dir, &script);
+    let cfg = config(&dir);
     let state_dir = cfg.state_dir.clone();
     let daemon = Daemon::new(cfg);
+    let addr = start_listener(&daemon);
+    // Cell "b" hangs silently (its worker stops heartbeating) on the
+    // first attempt; the retried lease succeeds.
+    drive_locals(&daemon, addr, b_first(|| Reply::GoSilent));
 
     let manifest = parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap();
     let id = daemon.submit(manifest).expect("submit");
-    tick_until(&daemon, "sweep done after migration", |d| {
-        d.sweep_views()
-            .iter()
-            .any(|v| v.id == id && v.status == "done")
-    });
+    tick_until(&daemon, "sweep done after migration", done(id));
 
     // The journal tells the whole story: cell "b" leased twice
     // (attempts 0 and 1), one failed attempt naming the heartbeat
@@ -227,15 +192,12 @@ fn dead_worker_is_detected_and_cell_migrates() {
 #[test]
 fn fleet_below_floor_sheds_lowest_priority_sweep() {
     let dir = scratch("shed");
-    let script = write_worker_script(
-        &dir,
-        r#"    *'"key":"a"'*) printf '%s\n' '{"ev":"done","key":"a","hash":1,"result":"{\"v\":1}"}' ;;
-    *'"key":"b"'*) printf '%s\n' '{"ev":"done","key":"b","hash":2,"result":"{\"v\":2}"}' ;;"#,
-    );
-    let mut cfg = config(&dir, &script);
+    let mut cfg = config(&dir);
     cfg.workers = 1;
     cfg.fleet_floor = 2; // unmeetable: degradation is permanent
     let daemon = Daemon::new(cfg);
+    let addr = start_listener(&daemon);
+    drive_locals(&daemon, addr, complete);
 
     let low = daemon
         .submit(
@@ -262,11 +224,7 @@ fn fleet_below_floor_sheds_lowest_priority_sweep() {
     );
 
     // The surviving sweep still completes on the degraded fleet.
-    tick_until(&daemon, "high-priority sweep done", |d| {
-        d.sweep_views()
-            .iter()
-            .any(|v| v.id == high && v.status == "done")
-    });
+    tick_until(&daemon, "high-priority sweep done", done(high));
 
     daemon.begin_drain();
     tick_until(&daemon, "fleet drained", |d| d.alive_workers() == 0);
@@ -275,28 +233,30 @@ fn fleet_below_floor_sheds_lowest_priority_sweep() {
 
 /// One raw HTTP exchange against the server (one request per
 /// connection, so each call dials fresh).
-fn http(addr: std::net::SocketAddr, request: &str) -> String {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+fn http(addr: SocketAddr, request: &str) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(request.as_bytes()).expect("write");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
     response
 }
 
+/// The JSON body of an HTTP response.
+fn body(response: &str) -> Value {
+    let (_, body) = response.split_once("\r\n\r\n").expect("response body");
+    serde_json::from_str(body.trim()).expect("JSON body")
+}
+
 #[test]
 fn http_control_plane_round_trips() {
     let dir = scratch("http");
-    let script = write_worker_script(
-        &dir,
-        r#"    *'"key":"a"'*) printf '%s\n' '{"ev":"done","key":"a","hash":1,"result":"{\"v\":1}"}' ;;
-    *'"key":"b"'*) printf '%s\n' '{"ev":"done","key":"b","hash":2,"result":"{\"v\":2}"}' ;;"#,
-    );
-    let daemon = Daemon::new(config(&dir, &script));
+    let daemon = Daemon::new(config(&dir));
+    let waddr = start_listener(&daemon);
+    drive_locals(&daemon, waddr, complete);
 
     let (addr_tx, addr_rx) = std::sync::mpsc::channel();
     {
-        let daemon = std::sync::Arc::clone(&daemon);
+        let daemon = Arc::clone(&daemon);
         std::thread::spawn(move || {
             sweepd::server::serve(&daemon, "127.0.0.1:0", move |addr| {
                 addr_tx.send(addr).unwrap();
@@ -307,15 +267,7 @@ fn http_control_plane_round_trips() {
     let addr = addr_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("server bound");
-    {
-        let daemon = std::sync::Arc::clone(&daemon);
-        std::thread::spawn(move || {
-            while !(daemon.draining() && daemon.alive_workers() == 0) {
-                daemon.tick();
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        });
-    }
+    common::start_ticker(&daemon);
 
     // Malformed manifest → structured 400 naming the field.
     let bad = http(
@@ -325,12 +277,12 @@ fn http_control_plane_round_trips() {
     assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
 
     // Valid manifest → 201 with the sweep id.
-    let body = r#"{"experiment":"faults","finalize":false}"#;
+    let body_json = r#"{"experiment":"faults","finalize":false}"#;
     let created = http(
         addr,
         &format!(
-            "POST /sweeps HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
+            "POST /sweeps HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body_json}",
+            body_json.len()
         ),
     );
     assert!(created.starts_with("HTTP/1.1 201"), "{created}");
@@ -348,8 +300,19 @@ fn http_control_plane_round_trips() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
+    // Health reports the spawned children as local slots with pids.
     let health = http(addr, "GET /healthz HTTP/1.1\r\n\r\n");
     assert!(health.contains("\"status\":\"ok\""), "{health}");
+    let workers = body(&health);
+    let workers = workers.get("workers").and_then(Value::as_array).unwrap();
+    assert_eq!(workers.len(), 2, "{health}");
+    for w in workers {
+        assert_eq!(w.get("kind").and_then(Value::as_str), Some("local"));
+        assert!(
+            w.get("pid").and_then(Value::as_u64).unwrap() > 0,
+            "{health}"
+        );
+    }
     assert!(http(addr, "GET /sweeps/99 HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 404"));
 
     // Cancel routes: a finished sweep is terminal (409 naming the
@@ -362,23 +325,26 @@ fn http_control_plane_round_trips() {
     // Shutdown drains and the accept loop winds down.
     let bye = http(addr, "POST /shutdown HTTP/1.1\r\n\r\n");
     assert!(bye.starts_with("HTTP/1.1 202"), "{bye}");
-    tick_until(&daemon, "fleet drained", |d| d.alive_workers() == 0);
+    common::wait_for(&daemon, "fleet drained", |d| d.alive_workers() == 0);
     assert!(!daemon.unfinished());
 }
 
 #[test]
 fn cancel_revokes_leases_and_collects_inflight_checkpoints() {
     let dir = scratch("cancel");
-    // Cell "a" completes; cell "b" runs forever (with heartbeats), so
-    // only a cancel can end the sweep.
-    let script = write_worker_script(
-        &dir,
-        r#"    *'"key":"a"'*) printf '%s\n' '{"ev":"done","key":"a","hash":1,"result":"{\"v\":1}"}' ;;
-    *'"key":"b"'*) sleep 60 & wait $! ;;"#,
-    );
-    let cfg = config(&dir, &script);
+    let cfg = config(&dir);
     let state_dir = cfg.state_dir.clone();
     let daemon = Daemon::new(cfg);
+    let addr = start_listener(&daemon);
+    // Cell "a" completes; cell "b" runs forever (with heartbeats), so
+    // only a cancel can end the sweep.
+    drive_locals(&daemon, addr, |key| {
+        if key == "b" {
+            Reply::Hang
+        } else {
+            Reply::Done
+        }
+    });
 
     let manifest = parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap();
     let id = daemon.submit(manifest).expect("submit");
@@ -423,33 +389,18 @@ fn cancel_revokes_leases_and_collects_inflight_checkpoints() {
 #[test]
 fn leased_cell_past_wall_clock_budget_is_charged_and_retried() {
     let dir = scratch("timeout");
-    // Cell "b" keeps heartbeating but never finishes on the first
-    // attempt — only the wall-clock budget can unwedge it.
-    let marker = dir.join("b-slow-attempted");
-    let cell_logic = format!(
-        r#"    *'"key":"a"'*) printf '%s\n' '{{"ev":"done","key":"a","hash":1,"result":"{{\"v\":1}}"}}' ;;
-    *'"key":"b"'*)
-      if [ -e {marker} ]; then
-        printf '%s\n' '{{"ev":"done","key":"b","hash":2,"result":"{{\"v\":2}}"}}'
-      else
-        : > {marker}
-        sleep 60 & wait $!
-      fi ;;"#,
-        marker = marker.display()
-    );
-    let script = write_worker_script(&dir, &cell_logic);
-    let cfg = config(&dir, &script);
+    let cfg = config(&dir);
     let state_dir = cfg.state_dir.clone();
     let daemon = Daemon::new(cfg);
+    let addr = start_listener(&daemon);
+    // Cell "b" keeps heartbeating but never finishes on the first
+    // attempt — only the wall-clock budget can unwedge it.
+    drive_locals(&daemon, addr, b_first(|| Reply::Hang));
 
     let manifest =
         parse_manifest(br#"{"experiment":"faults","cell_timeout_s":1,"finalize":false}"#).unwrap();
     let id = daemon.submit(manifest).expect("submit");
-    tick_until(&daemon, "sweep done after cell timeout", |d| {
-        d.sweep_views()
-            .iter()
-            .any(|v| v.id == id && v.status == "done")
-    });
+    tick_until(&daemon, "sweep done after cell timeout", done(id));
 
     let records = journal_records(&state_dir, id);
     let fails: Vec<String> = records
@@ -463,7 +414,179 @@ fn leased_cell_past_wall_clock_budget_is_charged_and_retried() {
         fails.iter().any(|e| e.contains("wall-clock budget")),
         "timeout must be journaled with a structured reason: {fails:?}"
     );
+    // The over-budget child was asked to checkpoint and exit: SIGTERM
+    // went to the process the daemon spawned.
+    assert!(
+        sigterm_seen(&dir),
+        "the timed-out worker must be SIGTERMed before any drain"
+    );
 
     daemon.begin_drain();
     tick_until(&daemon, "fleet drained", |d| d.alive_workers() == 0);
+}
+
+#[test]
+fn unpaired_hellos_land_in_fresh_remote_slots() {
+    let dir = scratch("unpaired");
+    let mut cfg = config(&dir);
+    cfg.workers = 1;
+    cfg.heartbeat_deadline = Duration::from_secs(5);
+    let daemon = Daemon::new(cfg);
+    let addr = start_listener(&daemon);
+    common::start_ticker(&daemon);
+
+    let id = daemon
+        .submit(parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap())
+        .expect("submit");
+    common::wait_for(&daemon, "local child spawned", |d| {
+        d.worker_views().first().is_some_and(|w| w.pid != 0)
+    });
+    let child_pid = daemon.worker_views()[0].pid as u32;
+
+    // A hello whose pid matches no spawned child is a remote worker,
+    // even over loopback: it gets a slot of its own.
+    let stranger = std::process::id();
+    assert_ne!(stranger, child_pid);
+    let mut remote = dial(addr, &hello("", "w-stranger", stranger));
+    remote.welcome();
+    let views = daemon.worker_views();
+    assert_eq!(views.len(), 2, "{views:?}");
+    assert_eq!(views[1].kind, "remote");
+    assert_eq!(views[1].name, "w-stranger");
+    assert_eq!(views[1].pid, 0, "remote slots have no local pid");
+
+    // The child's own hello pairs with its slot instead.
+    let mut local = dial(addr, &hello("", "w-child", child_pid));
+    local.welcome();
+    let views = daemon.worker_views();
+    assert_eq!(
+        views.len(),
+        2,
+        "the child must not get a second slot: {views:?}"
+    );
+    assert_eq!(views[0].kind, "local");
+    assert_eq!(
+        views[0].name, "w-0",
+        "a spawned child keeps its slot identity"
+    );
+    assert_eq!(u64::from(child_pid), views[0].pid);
+
+    let _hb_remote = remote.start_heartbeats();
+    let _hb_local = local.start_heartbeats();
+    let remote = std::thread::spawn(move || remote.serve_until_exit());
+    let local = std::thread::spawn(move || local.serve_until_exit());
+    common::wait_for(&daemon, "sweep done", done(id));
+
+    daemon.begin_drain();
+    common::wait_for(&daemon, "fleet drained", |d| d.alive_workers() == 0);
+    remote.join().unwrap();
+    local.join().unwrap();
+}
+
+/// A `sweepd` process, killed if the test fails before it drains.
+struct Sweepd(std::process::Child);
+
+impl Drop for Sweepd {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Reads the daemon's stderr until it has logged both addresses.
+fn addresses(stderr: impl Read + Send + 'static) -> (SocketAddr, SocketAddr) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines() {
+            let Ok(line) = line else { return };
+            for prefix in ["sweepd: listening on ", "sweepd: workers on "] {
+                if let Some(addr) = line.strip_prefix(prefix) {
+                    let _ = tx.send((prefix, addr.parse::<SocketAddr>().unwrap()));
+                }
+            }
+        }
+    });
+    let (mut ctl, mut wrk) = (None, None);
+    while ctl.is_none() || wrk.is_none() {
+        let (prefix, addr) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("sweepd logs its addresses");
+        if prefix.contains("listening") {
+            ctl = Some(addr);
+        } else {
+            wrk = Some(addr);
+        }
+    }
+    (ctl.unwrap(), wrk.unwrap())
+}
+
+#[test]
+fn local_slot_comes_up_over_the_auto_bound_listener() {
+    let dir = scratch("autobind");
+    let script = write_worker_script(&dir);
+    // No --worker-listen: local slots make the daemon bind one itself.
+    let mut sweepd = Sweepd(
+        Command::new(env!("CARGO_BIN_EXE_sweepd"))
+            .args(["--listen", "127.0.0.1:0", "--workers", "1"])
+            .args(["--worker-cmd", "/bin/sh", "--worker-cmd"])
+            .arg(&script)
+            .arg("--state-dir")
+            .arg(dir.join("state"))
+            .args(["--heartbeat-ms", "50", "--heartbeat-deadline-ms", "5000"])
+            .stdin(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn sweepd"),
+    );
+    let (addr, waddr) = addresses(sweepd.0.stderr.take().unwrap());
+    assert!(waddr.ip().is_loopback(), "auto-bound on loopback: {waddr}");
+
+    let manifest = r#"{"experiment":"faults","finalize":false}"#;
+    let created = http(
+        addr,
+        &format!(
+            "POST /sweeps HTTP/1.1\r\nContent-Length: {}\r\n\r\n{manifest}",
+            manifest.len()
+        ),
+    );
+    assert!(created.starts_with("HTTP/1.1 201"), "{created}");
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let pid = loop {
+        let health = body(&http(addr, "GET /healthz HTTP/1.1\r\n\r\n"));
+        let w = &health.get("workers").and_then(Value::as_array).unwrap()[0];
+        let pid = w.get("pid").and_then(Value::as_u64).unwrap();
+        if pid != 0 {
+            break pid as u32;
+        }
+        assert!(Instant::now() < deadline, "the local child never spawned");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut child = dial(waddr, &hello("", "w-child", pid));
+    child.welcome();
+    let _hb = child.start_heartbeats();
+    let served = std::thread::spawn(move || child.serve_until_exit());
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !http(addr, "GET /sweeps/1 HTTP/1.1\r\n\r\n").contains("\"status\":\"done\"") {
+        assert!(Instant::now() < deadline, "sweep never finished");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let health = body(&http(addr, "GET /healthz HTTP/1.1\r\n\r\n"));
+    let workers = health.get("workers").and_then(Value::as_array).unwrap();
+    assert_eq!(workers.len(), 1, "{workers:?}");
+    assert_eq!(
+        workers[0].get("kind").and_then(Value::as_str),
+        Some("local")
+    );
+    assert_eq!(workers[0].get("alive").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        workers[0].get("pid").and_then(Value::as_u64),
+        Some(u64::from(pid))
+    );
+
+    assert!(http(addr, "POST /shutdown HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 202"));
+    let status = sweepd.0.wait().expect("sweepd exits");
+    assert!(status.success(), "drained with every sweep done: {status}");
+    served.join().unwrap();
 }

@@ -6,45 +6,22 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+mod common;
 
-use checkpoint::manifest::{Journal, JournalHeader, JournalRecord};
-use checkpoint::FORMAT_VERSION;
-use serde::value::Value;
-use sweepd::{parse_manifest, remote, wire, Daemon, DaemonConfig};
+use std::io::Write;
+use std::net::Shutdown;
+use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
 
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sweepd-remote-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Writes the grid-only stand-in for the experiments binary: remote
-/// fleets still need `--grid` locally to enumerate cells.
-fn write_grid_script(dir: &Path) -> PathBuf {
-    let path = dir.join("fake-grid.sh");
-    let script = r#"#!/bin/sh
-if [ "$1" = "--grid" ]; then
-  printf '%s\n' '{"experiment":"faults","sweep_hash":77,"seed":42,"cells":[{"key":"a","hash":1},{"key":"b","hash":2}]}'
-  exit 0
-fi
-exit 0
-"#;
-    std::fs::write(&path, script).unwrap();
-    use std::os::unix::fs::PermissionsExt;
-    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
-    path
-}
+use checkpoint::manifest::JournalRecord;
+use common::{dial, good_fp, hello, journal_records, scratch, wait_for as tick_wait};
+use sweepd::{parse_manifest, wire, Daemon, DaemonConfig};
 
 /// Remote-only fleet: zero local slots, every worker joins over TCP.
 fn config(dir: &Path) -> DaemonConfig {
-    let script = write_grid_script(dir);
+    let script = common::write_worker_script(dir);
     let mut cfg = DaemonConfig::new(
         vec!["/bin/sh".to_string(), script.display().to_string()],
         dir.join("state"),
@@ -59,191 +36,16 @@ fn config(dir: &Path) -> DaemonConfig {
 
 /// Starts the worker listener plus a background ticker; returns the
 /// bound address.
-fn start(daemon: &Arc<Daemon>) -> SocketAddr {
-    let (addr_tx, addr_rx) = mpsc::channel();
-    {
-        let daemon = Arc::clone(daemon);
-        std::thread::spawn(move || {
-            remote::serve_workers(daemon, "127.0.0.1:0", move |addr| {
-                addr_tx.send(addr).unwrap();
-            })
-            .expect("worker listener");
-        });
-    }
-    {
-        let daemon = Arc::clone(daemon);
-        std::thread::spawn(move || {
-            while !(daemon.draining() && daemon.alive_workers() == 0) {
-                daemon.tick();
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        });
-    }
-    addr_rx
-        .recv_timeout(Duration::from_secs(10))
-        .expect("listener bound")
+fn start(daemon: &Arc<Daemon>) -> std::net::SocketAddr {
+    let addr = common::start_listener(daemon);
+    common::start_ticker(daemon);
+    addr
 }
 
-/// Dials the coordinator and completes the handshake; returns the
-/// stream, a buffered reader over its clone, and the parsed reply.
-fn dial(addr: SocketAddr, token: &str, worker: &str, proto: u32, fp: u64) -> Conn {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let hello = wire::Hello {
-        proto,
-        fingerprint: fp,
-        token: token.to_string(),
-        worker: worker.to_string(),
-    };
-    stream
-        .write_all(wire::render_hello(&hello).as_bytes())
-        .unwrap();
-    stream.flush().unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("handshake reply");
-    let reply = wire::parse_reply(line.trim_end()).expect("reply parses");
-    Conn {
-        stream,
-        reader,
-        reply,
-    }
-}
-
-struct Conn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    reply: wire::HandshakeReply,
-}
-
-impl Conn {
-    fn welcome(&self) -> (String, u64, Option<String>) {
-        match &self.reply {
-            wire::HandshakeReply::Welcome {
-                session,
-                gen,
-                resume,
-                ..
-            } => (session.clone(), *gen, resume.clone()),
-            wire::HandshakeReply::Reject { reason } => panic!("rejected: {reason}"),
-        }
-    }
-
-    /// Spawns a heartbeat thread over a clone of the stream; returns
-    /// its stop flag (the thread also exits on write failure).
-    fn start_heartbeats(&self) -> Arc<AtomicBool> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let mut hb = self.stream.try_clone().unwrap();
-        std::thread::spawn(move || {
-            let mut seq = 0u64;
-            while !flag.load(Ordering::Relaxed) {
-                let frame = format!("{{\"ev\":\"hb\",\"seq\":{seq}}}\n");
-                if hb
-                    .write_all(frame.as_bytes())
-                    .and_then(|()| hb.flush())
-                    .is_err()
-                {
-                    return;
-                }
-                seq += 1;
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        });
-        stop
-    }
-
-    /// Blocks until the next `run` command; returns `(key, fence gen)`.
-    fn next_run(&mut self) -> (String, u64) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut line = String::new();
-        while Instant::now() < deadline {
-            line.clear();
-            if self.reader.read_line(&mut line).expect("read command") == 0 {
-                panic!("coordinator closed the stream while waiting for a run");
-            }
-            if let Some(run) = parse_run(&line) {
-                return run;
-            }
-        }
-        panic!("timed out waiting for a run command");
-    }
-
-    fn send_done(&mut self, key: &str, gen: u64) {
-        let hash = if key == "a" { 1 } else { 2 };
-        let frame = format!(
-            "{{\"ev\":\"done\",\"key\":\"{key}\",\"hash\":{hash},\"result\":\"{{\\\"v\\\":{hash}}}\",\"gen\":{gen}}}\n"
-        );
-        self.stream.write_all(frame.as_bytes()).unwrap();
-        self.stream.flush().unwrap();
-    }
-
-    /// Serves until the coordinator sends `exit`, completing every run
-    /// with the echoed fence generation. Shuts the socket down on the
-    /// way out so the heartbeat thread's clone cannot hold it open.
-    fn serve_until_exit(&mut self) {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match self.reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            if line.contains("\"op\":\"exit\"") {
-                break;
-            }
-            if let Some((key, gen)) = parse_run(&line) {
-                self.send_done(&key, gen);
-            }
-        }
-        let _ = self.stream.shutdown(Shutdown::Both);
-    }
-}
-
-fn parse_run(line: &str) -> Option<(String, u64)> {
-    let v: Value = serde_json::from_str(line.trim_end()).ok()?;
-    if v.get("op").and_then(Value::as_str) != Some("run") {
-        return None;
-    }
-    // Remote run commands are self-contained: the sweep context rides
-    // along instead of arriving in a separate bind frame.
-    let dir = v.get("dir").and_then(Value::as_str)?;
-    assert!(!dir.is_empty(), "run must carry the sweep dir");
-    assert_eq!(v.get("seed").and_then(Value::as_u64), Some(42));
-    assert!(v.get("ckpt_interval").and_then(Value::as_u64).is_some());
-    let key = v.get("key").and_then(Value::as_str)?.to_string();
-    let gen = v.get("gen").and_then(Value::as_u64)?;
-    Some((key, gen))
-}
-
-fn tick_wait(daemon: &Daemon, what: &str, pred: impl Fn(&Daemon) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while Instant::now() < deadline {
-        if pred(daemon) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("timed out waiting for: {what}");
-}
-
-fn journal_records(state_dir: &Path, sweep_id: u64) -> Vec<JournalRecord> {
-    let path = state_dir
-        .join(format!("sweep-{sweep_id}"))
-        .join("faults.manifest.jsonl");
-    let header = JournalHeader {
-        version: FORMAT_VERSION,
-        config_hash: 77,
-        seed: 42,
-    };
-    let (_, records) = Journal::open_resume_records(&path, &header).expect("journal parses");
-    records
-}
-
-fn good_fp() -> u64 {
-    wire::fingerprint(sweepd::manifest::SUPPORTED_EXPERIMENTS)
+/// A worker process on another host: its pid never matches a child of
+/// the daemon's.
+fn remote(token: &str, worker: &str) -> wire::Hello {
+    hello(token, worker, std::process::id())
 }
 
 #[test]
@@ -258,7 +60,7 @@ fn remote_worker_registers_and_completes_sweep() {
         .submit(parse_manifest(br#"{"experiment":"faults","finalize":false}"#).unwrap())
         .expect("submit");
 
-    let mut conn = dial(addr, "", "w-remote-1", wire::PROTO_VERSION, good_fp());
+    let mut conn = dial(addr, &remote("", "w-remote-1"));
     let (session, gen, resume) = conn.welcome();
     assert!(!session.is_empty());
     assert_eq!(gen, 0, "fresh registration starts at generation 0");
@@ -322,7 +124,13 @@ fn handshake_rejects_version_and_fingerprint_mismatches() {
     let daemon = Daemon::new(config(&dir));
     let addr = start(&daemon);
 
-    let conn = dial(addr, "", "w-old", wire::PROTO_VERSION + 1, good_fp());
+    let conn = dial(
+        addr,
+        &wire::Hello {
+            proto: wire::PROTO_VERSION + 1,
+            ..remote("", "w-old")
+        },
+    );
     match &conn.reply {
         wire::HandshakeReply::Reject { reason } => {
             assert!(reason.contains("protocol version mismatch"), "{reason}");
@@ -330,7 +138,13 @@ fn handshake_rejects_version_and_fingerprint_mismatches() {
         other => panic!("version skew must be rejected, got {other:?}"),
     }
 
-    let conn = dial(addr, "", "w-skewed", wire::PROTO_VERSION, good_fp() ^ 1);
+    let conn = dial(
+        addr,
+        &wire::Hello {
+            fingerprint: good_fp() ^ 1,
+            ..remote("", "w-skewed")
+        },
+    );
     match &conn.reply {
         wire::HandshakeReply::Reject { reason } => {
             assert!(reason.contains("fingerprint mismatch"), "{reason}");
@@ -360,23 +174,23 @@ fn partitioned_remote_worker_expires_and_cell_migrates() {
 
     // W1 takes a lease, then partitions: heartbeats stop, the socket
     // stays open. Only the heartbeat deadline can detect this.
-    let mut w1 = dial(addr, "", "w-r1", wire::PROTO_VERSION, good_fp());
+    let mut w1 = dial(addr, &remote("", "w-r1"));
     let w1_hb = w1.start_heartbeats();
     let (k1, g1) = w1.next_run();
     w1_hb.store(true, Ordering::Relaxed);
 
-    let mut w2 = dial(addr, "", "w-r2", wire::PROTO_VERSION, good_fp());
+    let mut w2 = dial(addr, &remote("", "w-r2"));
     let _w2_hb = w2.start_heartbeats();
     let (k2, g2) = w2.next_run();
     assert_ne!(k1, k2);
-    w2.send_done(&k2, g2);
+    w2.send_done(&k2, g2).expect("send done");
 
     // The deadline fires, W1's lease migrates, and W2 (idle, already
     // bound to the sweep) picks the cell up on the next tick.
     let (k1_retry, g1_retry) = w2.next_run();
     assert_eq!(k1_retry, k1, "the partitioned worker's cell must migrate");
     assert!(g1_retry > g1, "the re-lease must carry a newer fence");
-    w2.send_done(&k1, g1_retry);
+    w2.send_done(&k1, g1_retry).expect("send done");
 
     tick_wait(&daemon, "sweep done after migration", |d| {
         d.sweep_views()
@@ -386,7 +200,7 @@ fn partitioned_remote_worker_expires_and_cell_migrates() {
 
     // The healed partition's stale completion must change nothing: its
     // slot is gone and its fence generation is superseded.
-    w1.send_done(&k1, g1);
+    w1.send_done(&k1, g1).expect("send done");
     std::thread::sleep(Duration::from_millis(200));
 
     let records = journal_records(&state_dir, id);
@@ -447,7 +261,7 @@ fn reconnect_resumes_lease_and_fences_stale_generations() {
 
     // First connection: register, take a lease, then lose the link
     // before completing (the done frame is "lost in flight").
-    let mut conn = dial(addr, "", "w-re", wire::PROTO_VERSION, good_fp());
+    let mut conn = dial(addr, &remote("", "w-re"));
     let (token, gen0, _) = conn.welcome();
     assert_eq!(gen0, 0);
     let hb1 = conn.start_heartbeats();
@@ -458,7 +272,7 @@ fn reconnect_resumes_lease_and_fences_stale_generations() {
 
     // Redial with the session token: same slot, bumped generation,
     // and the welcome names the still-held lease.
-    let mut conn = dial(addr, &token, "w-re", wire::PROTO_VERSION, good_fp());
+    let mut conn = dial(addr, &remote(&token, "w-re"));
     let (session, gen, resume) = conn.welcome();
     assert_eq!(session, token, "resume keeps the session token");
     assert_eq!(gen, 1, "each reconnect bumps the link generation");
@@ -469,9 +283,11 @@ fn reconnect_resumes_lease_and_fences_stale_generations() {
     );
     let _hb2 = conn.start_heartbeats();
 
-    // A completion echoing the wrong fence generation is dropped and
-    // the lease survives.
-    conn.send_done(&k1, g1 + 999);
+    // A completion echoing the wrong fence generation — or none at
+    // all — is dropped and the lease survives.
+    conn.send_done(&k1, g1 + 999).expect("send done");
+    let unfenced = format!("{{\"ev\":\"done\",\"key\":\"{k1}\",\"hash\":1,\"result\":\"{{}}\"}}\n");
+    conn.stream.write_all(unfenced.as_bytes()).unwrap();
     std::thread::sleep(Duration::from_millis(300));
     let (view, cells) = daemon.sweep_detail(id).expect("detail");
     assert_eq!(view.done, 0, "fenced completion must not land");
@@ -480,10 +296,10 @@ fn reconnect_resumes_lease_and_fences_stale_generations() {
 
     // Re-sending with the original fence completes the cell, and the
     // worker then finishes the rest of the sweep over the new link.
-    conn.send_done(&k1, g1);
+    conn.send_done(&k1, g1).expect("send done");
     let (k2, g2) = conn.next_run();
     assert_ne!(k2, k1);
-    conn.send_done(&k2, g2);
+    conn.send_done(&k2, g2).expect("send done");
     tick_wait(&daemon, "sweep done after resume", |d| {
         d.sweep_views()
             .iter()

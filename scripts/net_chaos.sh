@@ -12,9 +12,11 @@
 #     `kill -9`ed while it demonstrably holds a cell lease. The sweep
 #     must finish, /metrics must record crash migration, and the
 #     artifacts must be byte-identical to the reference;
-#  3. the same fleet topology with an *empty* netem scenario must also
-#     be a byte-exact no-op (the injector layer is pass-through when no
-#     net* directive names a stream).
+#  3. a mixed fleet — one local child the daemon spawns next to one
+#     TCP worker, both on the same loopback protocol — shares a sweep
+#     under an *empty* netem scenario, which must be a byte-exact no-op
+#     (the injector layer is pass-through when no net* directive names
+#     a stream).
 #
 # Usage: scripts/net_chaos.sh [path-to-metanmp-experiments] [path-to-sweepd]
 set -euo pipefail
@@ -41,16 +43,18 @@ mkdir -p "$work/reference"
 ref="$work/reference/results/faults.json"
 [ -s "$ref" ] || { echo "FAIL: reference produced no results/faults.json"; exit 1; }
 
-# Starts a daemon with the given state dir and netem scenario; sets
-# DAEMON_PID and the globals `addr` (control plane) / `waddr` (worker
-# listener). Remote-only fleet: zero local slots. `--fleet-floor 0`
+# Starts a daemon with the given state dir, netem scenario and number
+# of local slots (default 0: a remote-only fleet); sets DAEMON_PID and
+# the globals `addr` (control plane) / `waddr` (worker listener).
+# Spawned children count as netem streams too, in registration order,
+# so the chaos phase keeps zero local slots. `--fleet-floor 0`
 # disables degradation shedding: the chaos deliberately creates windows
 # where every worker is dead or redialing at once, and this soak asserts
 # completion, not shedding (shedding has its own tests).
 start_daemon() {
-    local state=$1 scenario=$2 log=$3
+    local state=$1 scenario=$2 log=$3 workers=${4:-0}
     "$SWEEPD" --listen 127.0.0.1:0 --worker-listen 127.0.0.1:0 \
-        --worker-cmd "$BIN" --workers 0 --state-dir "$state" \
+        --worker-cmd "$BIN" --workers "$workers" --state-dir "$state" \
         --heartbeat-ms 25 --heartbeat-deadline-ms 1000 \
         --cell-timeout 10 --retry-budget 4 --ckpt-interval 64 \
         --fleet-floor 0 --netem "$scenario" 2>"$log" &
@@ -188,27 +192,47 @@ fi
 echo "PASS: chaos-run artifacts are byte-identical to the reference"
 
 # ---------------------------------------------------------------------------
-# Phase 2: an empty netem scenario must be a byte-exact no-op.
+# Phase 2: a mixed fleet under an empty netem scenario. The daemon spawns
+# one local child (w-0 in /healthz) next to one TCP worker (w-tcp-<pid>);
+# both must be seen holding leases of the same sweep, and the result must
+# be byte-exact against the reference.
 # ---------------------------------------------------------------------------
-echo "== fleet control: empty netem scenario is a no-op =="
+echo "== mixed fleet control: local child + TCP worker, empty netem =="
 printf 'CHS1\n' >"$work/empty.chs1"
 state="$work/noop-state"
 log="$work/noop-sweepd.log"
-start_daemon "$state" "$work/empty.chs1" "$log"
+start_daemon "$state" "$work/empty.chs1" "$log" 1
 sweep_id=$(submit "{\"experiment\":\"faults\",\"seed\":$SEED}")
 start_worker "$work/noop-w1.log"
+holders=""
+for _ in $(seq 1 3000); do
+    health=$(curl -sf "http://$addr/healthz" || true)
+    holders="$holders $(printf '%s' "$health" \
+        | grep -oE '"name":"w-(0|tcp-[0-9]+)","alive":true,"pid":[0-9]+,"restarts":[0-9]+,"lease":"[^"]+"' \
+        | grep -oE '^"name":"w-(0|tcp)' || true)"
+    body=$(curl -sf "http://$addr/sweeps/$sweep_id" || true)
+    case "$body" in *'"status":"done"'*) break ;; esac
+    sleep 0.01
+done
 wait_status "$sweep_id" done 300 "$log"
+for who in '"name":"w-0' '"name":"w-tcp'; do
+    case "$holders" in
+        *"$who"*) ;;
+        *) echo "FAIL: /healthz never showed $who holding a lease"; cat "$log"; exit 1 ;;
+    esac
+done
+echo "  the local child and the TCP worker both held leases"
 
 curl -sf -X POST "http://$addr/shutdown" >/dev/null
 drained=0
 wait "$DAEMON_PID" || drained=$?
 DAEMON_PID=""
-[ "$drained" -eq 0 ] || { echo "FAIL: no-op daemon drained with exit $drained"; cat "$log"; exit 1; }
+[ "$drained" -eq 0 ] || { echo "FAIL: mixed-fleet daemon drained with exit $drained"; cat "$log"; exit 1; }
 
 noop_out="$state/sweep-$sweep_id/results/faults.json"
-[ -s "$noop_out" ] || { echo "FAIL: no-op sweep produced no results/faults.json"; exit 1; }
+[ -s "$noop_out" ] || { echo "FAIL: mixed-fleet sweep produced no results/faults.json"; exit 1; }
 if ! cmp "$ref" "$noop_out"; then
-    echo "FAIL: empty-netem run differs from the reference"
+    echo "FAIL: mixed-fleet run differs from the reference"
     exit 1
 fi
-echo "PASS: empty netem scenario is byte-exact against the reference"
+echo "PASS: mixed fleet under an empty netem scenario is byte-exact against the reference"

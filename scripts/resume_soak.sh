@@ -125,12 +125,14 @@ esac
 sweep_id=$(printf '%s' "$submitted" | grep -oE '[0-9]+')
 
 # Wait until a worker actually holds a cell lease, then SIGKILL it.
+# Spawned workers dial back and register before their first lease, so
+# early polls can find none.
 victim=""
 for _ in $(seq 1 200); do
     health=$(curl -sf "http://$addr/healthz" || true)
     victim=$(printf '%s' "$health" \
         | grep -oE '"pid":[0-9]+,"restarts":[0-9]+,"lease":"[^"]+"' \
-        | head -n 1 | grep -oE '"pid":[0-9]+' | cut -d: -f2)
+        | head -n 1 | grep -oE '"pid":[0-9]+' | cut -d: -f2 || true)
     [ -n "$victim" ] && break
     sleep 0.1
 done
